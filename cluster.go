@@ -10,6 +10,7 @@ import (
 
 	"abcast/internal/adapt"
 	"abcast/internal/core"
+	"abcast/internal/evloop"
 	"abcast/internal/fd"
 	"abcast/internal/live"
 	"abcast/internal/metrics"
@@ -249,7 +250,7 @@ type Cluster struct {
 	opts    Options
 	engines []*core.Engine
 	dets    []*fd.Heartbeat
-	queues  []*deliveryQueue
+	queues  []*evloop.Queue[Delivery]
 	n       int
 
 	// Wiring inputs retained for Restart, which rebuilds a process's stack.
@@ -344,7 +345,7 @@ func New(n int, opts Options) (*Cluster, error) {
 		opts:        opts,
 		engines:     make([]*core.Engine, n+1),
 		dets:        make([]*fd.Heartbeat, n+1),
-		queues:      make([]*deliveryQueue, n+1),
+		queues:      make([]*evloop.Queue[Delivery], n+1),
 		n:           n,
 		variant:     variant,
 		rbKind:      rbKind,
@@ -369,7 +370,7 @@ func New(n int, opts Options) (*Cluster, error) {
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
 		i := i
-		c.queues[i] = newDeliveryQueue()
+		c.queues[i] = evloop.NewQueue[Delivery]()
 		wg.Add(1)
 		// Wire each process's layers on its own event loop so no
 		// protocol event can precede complete wiring.
@@ -477,7 +478,7 @@ func (c *Cluster) wire(i int, node *stack.Node) error {
 				Seq:     app.ID.Seq,
 				Payload: app.Payload,
 			}
-			c.queues[i].put(d)
+			c.queues[i].Put(d)
 			if c.opts.OnDeliver != nil {
 				c.opts.OnDeliver(i, d)
 			}
@@ -583,12 +584,15 @@ func (c *Cluster) changeMembership(p int, join bool) error {
 }
 
 // Next returns process p's next delivery, waiting up to timeout. ok is
-// false on timeout.
+// false on timeout, and at once when the cluster is closed and p's
+// deliveries are drained.
 func (c *Cluster) Next(p int, timeout time.Duration) (d Delivery, ok bool) {
 	if p < 1 || p > c.n {
 		return Delivery{}, false
 	}
-	return c.queues[p].next(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	return c.queues[p].Get(deadline.C)
 }
 
 // Stats is a snapshot of one process's engine counters.
@@ -785,8 +789,10 @@ func (c *Cluster) Close() {
 		c.msrv.Close()
 	}
 	c.net.Close()
+	// Close, not Discard: what was adelivered before the shutdown stays
+	// readable through Next.
 	for _, q := range c.queues[1:] {
-		q.close()
+		q.Close()
 	}
 	if c.stores != nil {
 		// Safe once the event loops have exited: the stores' single owners
@@ -794,65 +800,5 @@ func (c *Cluster) Close() {
 		for _, s := range c.stores[1:] {
 			s.Close()
 		}
-	}
-}
-
-// deliveryQueue is an unbounded queue with timeout-capable consumption.
-type deliveryQueue struct {
-	mu     sync.Mutex
-	items  []Delivery
-	signal chan struct{}
-	closed bool
-}
-
-func newDeliveryQueue() *deliveryQueue {
-	return &deliveryQueue{signal: make(chan struct{}, 1)}
-}
-
-func (q *deliveryQueue) put(d Delivery) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.items = append(q.items, d)
-	q.mu.Unlock()
-	select {
-	case q.signal <- struct{}{}:
-	default:
-	}
-}
-
-func (q *deliveryQueue) next(timeout time.Duration) (Delivery, bool) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		q.mu.Lock()
-		if len(q.items) > 0 {
-			d := q.items[0]
-			q.items = q.items[1:]
-			q.mu.Unlock()
-			return d, true
-		}
-		closed := q.closed
-		q.mu.Unlock()
-		if closed {
-			return Delivery{}, false
-		}
-		select {
-		case <-q.signal:
-		case <-deadline.C:
-			return Delivery{}, false
-		}
-	}
-}
-
-func (q *deliveryQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.signal <- struct{}{}:
-	default:
 	}
 }

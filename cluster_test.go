@@ -84,6 +84,41 @@ func TestClusterPayloadIntegrity(t *testing.T) {
 	}
 }
 
+// TestClusterNextAfterClose pins the delivery queues' shutdown choice: what
+// was adelivered before Close stays readable, and once it is drained Next
+// reports false at once instead of sitting out its timeout.
+func TestClusterNextAfterClose(t *testing.T) {
+	queued := make(chan struct{}, 1)
+	c, err := New(3, Options{OnDeliver: func(p int, _ Delivery) {
+		if p == 2 {
+			queued <- struct{}{} // runs after the delivery is queued
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Broadcast(1, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-queued:
+	case <-time.After(10 * time.Second):
+		t.Fatal("p2 never delivered")
+	}
+	c.Close()
+	if d, ok := c.Next(2, time.Minute); !ok || string(d.Payload) != "kept" {
+		t.Fatalf("delivery queued before Close lost: %q, %v", d.Payload, ok)
+	}
+	start := time.Now()
+	if _, ok := c.Next(2, time.Minute); ok {
+		t.Fatal("delivery out of a closed, drained queue")
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("Next on a closed cluster blocked for %v", waited)
+	}
+}
+
 func TestClusterCrashTolerance(t *testing.T) {
 	c, err := New(3, Options{Stack: IndirectCT})
 	if err != nil {

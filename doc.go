@@ -301,13 +301,14 @@
 // The internal packages split into two worlds, and the split is enforced
 // statically by the abcheck analyzers (internal/analysis, cmd/abcheck).
 // Simulation-path packages — sim, simnet, core, consensus, relink, rbcast,
-// fd, adapt, msg, stack, bench, persist, plus the pure models netmodel,
-// wire, indirect — run under the virtual clock: they may only read time through
+// fd, adapt, msg, stack, bench, persist, plus the pure models netmodel and
+// wire — run under the virtual clock: they may only read time through
 // the runtime context (stack.Context.Now, SetTimer) and draw randomness
 // from the per-process seeded source, which is what makes seeded runs
 // bit-for-bit reproducible. Wall-clock packages — this root package
-// (caller-side timeouts), tcpnet, live, stats, and everything under cmd/
-// and examples/ — face the host clock and real sockets and are exempt.
+// (caller-side timeouts), the evloop process runtime and its two
+// transports live and tcpnet, stats, and everything under cmd/ and
+// examples/ — face the host clock and real sockets and are exempt.
 // docs/ARCHITECTURE.md ("Determinism invariants") states the full rules
 // and the //abcheck annotation grammar.
 package abcast

@@ -1,6 +1,6 @@
 // TCP group: the same atomic broadcast stack the simulator benchmarks,
 // running over real TCP sockets on loopback — three peers, three
-// listeners, gob-encoded envelopes, heartbeat failure detection.
+// listeners, internal/wire-encoded envelopes, heartbeat failure detection.
 //
 // In a real deployment each peer would be its own OS process on its own
 // machine; this demo hosts all three peers in one process (each with its

@@ -35,7 +35,6 @@ var mapOrderCritical = map[string]bool{
 var simPath = map[string]bool{
 	"abcast/internal/netmodel": true,
 	"abcast/internal/wire":     true,
-	"abcast/internal/indirect": true,
 }
 
 func init() {
@@ -45,11 +44,12 @@ func init() {
 }
 
 // wallClockAllowed lists the packages that legitimately face the host
-// clock: the live TCP runtime, its statistics, the public Cluster API
-// (caller-side timeouts), and every command and example binary.
+// clock: the wall-clock runtime (the evloop core and its live and tcpnet
+// transports), its statistics, the public Cluster API (caller-side
+// timeouts), and every command and example binary.
 func wallClockAllowed(path string) bool {
 	switch path {
-	case modulePrefix, "abcast/internal/tcpnet", "abcast/internal/live", "abcast/internal/stats":
+	case modulePrefix, "abcast/internal/evloop", "abcast/internal/tcpnet", "abcast/internal/live", "abcast/internal/stats":
 		return true
 	}
 	return strings.HasPrefix(path, "abcast/cmd/") ||

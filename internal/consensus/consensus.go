@@ -6,9 +6,22 @@
 // each in two flavours: the original algorithm on opaque values, and the
 // paper's *indirect consensus* adaptation that decides on message-identifier
 // sets and consults an rcv predicate before adopting an estimate
-// (Algorithms 2 and 3 of the paper). Package indirect re-exports the
-// indirect flavours under their paper-facing names and documents the
-// resilience consequences.
+// (Algorithms 2 and 3 of the paper; Config.Indirect selects them).
+//
+// Indirect consensus (Section 2.3) is consensus whose proposals are pairs
+// (v, rcv): v a set of message identifiers, rcv a predicate true only when
+// the proposing process holds msgs(v). On top of the usual Termination,
+// Uniform integrity, Uniform agreement and Uniform validity, it guarantees
+//
+//	No loss: if a process decides v at time t, then one correct process
+//	has received msgs(v) at time t.
+//
+// The paper shows No loss holds iff every v-valent configuration (any
+// future decision can only be v) is also v-stable (f+1 processes hold
+// msgs(v)). Indirect CT keeps the original's resilience f < n/2. Indirect
+// MR's drops to f < n/3: its Phase 2 quorum grows to TwoThirds(n) so that
+// any two quorums of n−f processes intersect in at least n−2f ≥ f+1 of
+// them (Figure 2: n=7, f=2, overlap 3). MaxFaulty states both.
 //
 // A Service multiplexes an unbounded sequence of independent consensus
 // instances (the serial numbers k of Algorithm 1) over a single protocol id.

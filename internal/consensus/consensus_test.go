@@ -392,6 +392,13 @@ func TestQuorumHelpers(t *testing.T) {
 			t.Errorf("ThirdPlus(%d) = %d, want %d", c.n, got, c.third)
 		}
 	}
+	// Figure 2's arithmetic: at n=7, f=2 the indirect MR quorum is n−f = 5,
+	// and two such quorums share at least n−2f = 3 = f+1 processes — one of
+	// them correct and holding msgs(v). A third crash would leave 1 < f+1.
+	n, f := 7, MaxFaulty(MR, true, 7)
+	if f != 2 || TwoThirds(n) != n-f || n-2*f != f+1 || n-2*(f+1) >= (f+1)+1 {
+		t.Errorf("Figure 2 (n=7): f=%d, quorum %d, overlap %d", f, TwoThirds(n), n-2*f)
+	}
 }
 
 func TestMaxFaulty(t *testing.T) {

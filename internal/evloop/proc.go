@@ -1,0 +1,173 @@
+// Package evloop is the wall-clock process runtime shared by internal/live
+// and internal/tcpnet: the unbounded Queue, the tracked Timers set and the
+// Proc core — one goroutine serializing every event of a protocol process
+// (message dispatches, timer callbacks, injected actions), so protocol code
+// stays lock-free. A transport supplies only how an envelope reaches
+// another process; everything else a stack.Context promises lives here.
+package evloop
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"abcast/internal/stack"
+)
+
+// Proc is one process's event loop; it implements stack.Context.
+//
+// Lifecycle: New → wire protocol layers on Node() → Start → Do/Deliver →
+// Close. Events queued before Start wait for it.
+type Proc struct {
+	id     stack.ProcessID
+	n      int
+	rng    *rand.Rand                                   // drawn from on the loop only
+	remote func(to stack.ProcessID, env stack.Envelope) // the transport
+	node   atomic.Pointer[stack.Node]                   // swapped by Restart
+	inbox  *Queue[func()]
+	timers Timers
+	loop   sync.WaitGroup
+
+	crashed atomic.Bool
+	// epoch counts incarnations; Restart bumps it. Timer callbacks capture
+	// the epoch they were armed under and drop themselves on mismatch, so a
+	// dead incarnation's timers never fire into a new one.
+	epoch atomic.Int64
+}
+
+var _ stack.Context = (*Proc)(nil)
+
+// New creates process id of an n-process group. remote carries an envelope
+// to another process; it is called on the loop, never for id itself and
+// never once the process has crashed.
+func New(id stack.ProcessID, n int, seed int64, remote func(to stack.ProcessID, env stack.Envelope)) *Proc {
+	p := &Proc{
+		id:     id,
+		n:      n,
+		rng:    rand.New(rand.NewSource(seed)),
+		remote: remote,
+		inbox:  NewQueue[func()](),
+	}
+	p.node.Store(stack.NewNode(p))
+	return p
+}
+
+// Start launches the event loop; all protocol code of the process runs on
+// it. Call it once.
+func (p *Proc) Start() {
+	p.loop.Add(1)
+	go func() {
+		defer p.loop.Done()
+		for {
+			fn, ok := p.inbox.Get(nil)
+			if !ok {
+				return
+			}
+			if !p.crashed.Load() {
+				fn()
+			}
+		}
+	}()
+}
+
+// Close discards pending events, waits for the loop to exit, then stops
+// the outstanding timers. It is idempotent; Do and Deliver afterwards are
+// no-ops.
+func (p *Proc) Close() {
+	p.inbox.Discard()
+	p.loop.Wait()
+	p.timers.StopAll()
+}
+
+// Node returns the protocol node of the current incarnation for wiring
+// layers.
+func (p *Proc) Node() *stack.Node { return p.node.Load() }
+
+// Do runs fn on the event loop (used to inject application actions such as
+// broadcasts).
+func (p *Proc) Do(fn func()) { p.inbox.Put(fn) }
+
+// Deliver queues an envelope received from process from for dispatch on
+// the loop; transports call it from their own goroutines.
+func (p *Proc) Deliver(from stack.ProcessID, env stack.Envelope) {
+	p.inbox.Put(func() { p.node.Load().Dispatch(from, env) })
+}
+
+// Crash stops the process: it handles no further events (its armed timers
+// included) and sends nothing.
+func (p *Proc) Crash() { p.crashed.Store(true) }
+
+// Restart revives a crashed process as a fresh incarnation: a new protocol
+// node on the same event loop. Bumping the incarnation epoch invalidates
+// every timer the previous incarnation armed (a real restarted process has
+// no memory of its timers), while envelopes still in flight toward the
+// process deliver into the new incarnation — the at-least-once surface a
+// restarted process faces on a real network. The caller wires a fresh
+// protocol stack on the returned node (via Do, so no event precedes
+// complete wiring). Restart of a non-crashed process is a caller bug: the
+// old stack would keep running against a node no longer receiving traffic.
+func (p *Proc) Restart() *stack.Node {
+	p.epoch.Add(1) // kill the previous incarnation's timers first
+	node := stack.NewNode(p)
+	p.node.Store(node)
+	p.crashed.Store(false)
+	return node
+}
+
+// ID implements stack.Context.
+func (p *Proc) ID() stack.ProcessID { return p.id }
+
+// N implements stack.Context.
+func (p *Proc) N() int { return p.n }
+
+// Now implements stack.Context.
+func (p *Proc) Now() time.Time { return time.Now() }
+
+// Rand implements stack.Context.
+func (p *Proc) Rand() *rand.Rand { return p.rng }
+
+// Crashed implements stack.Context.
+func (p *Proc) Crashed() bool { return p.crashed.Load() }
+
+// Work implements stack.Context; on a wall-clock runtime computation costs
+// are real, so no accounting is needed.
+func (p *Proc) Work(time.Duration) {}
+
+// Logf implements stack.Context; the wall-clock runtimes are quiet.
+func (p *Proc) Logf(string, ...any) {}
+
+// Send implements stack.Context. Self-sends skip the transport but still go
+// through the inbox, preserving the "events are serialized" contract.
+func (p *Proc) Send(to stack.ProcessID, env stack.Envelope) {
+	switch {
+	case p.crashed.Load():
+	case to == p.id:
+		p.Deliver(p.id, env)
+	default:
+		p.remote(to, env)
+	}
+}
+
+// SetTimer implements stack.Context. The callback belongs to the arming
+// incarnation: it is dropped if the process crashed or restarted (epoch
+// mismatch) before it runs — checked again at execution, because a restart
+// may land between the enqueue and the event loop draining it.
+func (p *Proc) SetTimer(d time.Duration, fn func()) (cancel func()) {
+	var cancelled atomic.Bool
+	epoch := p.epoch.Load()
+	stop := p.timers.Schedule(d, func() {
+		if cancelled.Load() || p.crashed.Load() || p.epoch.Load() != epoch {
+			return
+		}
+		p.inbox.Put(func() {
+			if !cancelled.Load() && p.epoch.Load() == epoch {
+				fn()
+			}
+		})
+	})
+	return func() {
+		cancelled.Store(true)
+		stop()
+	}
+}

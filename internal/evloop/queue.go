@@ -1,0 +1,90 @@
+package evloop
+
+import (
+	"sync"
+	"time"
+)
+
+// Queue is an unbounded FIFO. Unboundedness matters: protocol handlers send
+// while handling, so a bounded inbox could deadlock two processes sending
+// to each other under backpressure.
+//
+// Any number of goroutines may Put. Get is meant for one consumer at a
+// time: each Put posts at most one wake-up, so of several blocked consumers
+// only one is sure to see it before the next Put or its own deadline.
+type Queue[T any] struct {
+	mu     sync.Mutex
+	items  []T
+	signal chan struct{}
+	closed bool
+}
+
+// NewQueue returns an empty open queue.
+func NewQueue[T any]() *Queue[T] {
+	return &Queue[T]{signal: make(chan struct{}, 1)}
+}
+
+// Put enqueues v; after Close or Discard it is a quiet no-op.
+func (q *Queue[T]) Put(v T) {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	q.items = append(q.items, v)
+	q.mu.Unlock()
+	q.wake()
+}
+
+// Get dequeues the next item, blocking until one is available, the queue
+// is closed and drained, or deadline fires (a nil deadline never does). It
+// reports false in the last two cases.
+func (q *Queue[T]) Get(deadline <-chan time.Time) (T, bool) {
+	var zero T
+	for {
+		q.mu.Lock()
+		if len(q.items) > 0 {
+			v := q.items[0]
+			q.items[0] = zero
+			q.items = q.items[1:]
+			q.mu.Unlock()
+			return v, true
+		}
+		closed := q.closed
+		q.mu.Unlock()
+		if closed {
+			q.wake() // pass the close on to any other blocked consumer
+			return zero, false
+		}
+		select {
+		case <-q.signal:
+		case <-deadline:
+			return zero, false
+		}
+	}
+}
+
+// Close rejects later Puts. What is already queued stays readable; Get
+// reports false once it is drained.
+func (q *Queue[T]) Close() { q.shut(false) }
+
+// Discard is Close for a consumer that must stop now rather than after the
+// backlog: it also drops what is queued.
+func (q *Queue[T]) Discard() { q.shut(true) }
+
+func (q *Queue[T]) shut(discard bool) {
+	q.mu.Lock()
+	q.closed = true
+	if discard {
+		q.items = nil
+	}
+	q.mu.Unlock()
+	q.wake()
+}
+
+func (q *Queue[T]) wake() {
+	select {
+	case q.signal <- struct{}{}:
+	default:
+	}
+}

@@ -1,0 +1,168 @@
+package evloop
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+func TestQueueFIFO(t *testing.T) {
+	q := NewQueue[int]()
+	for i := 0; i < 10; i++ {
+		q.Put(i)
+	}
+	for i := 0; i < 10; i++ {
+		if v, ok := q.Get(nil); !ok || v != i {
+			t.Fatalf("get %d = %d, %v", i, v, ok)
+		}
+	}
+}
+
+// blockedGet starts a Get on its own goroutine and checks that it does not
+// return before the caller acts.
+func blockedGet(t *testing.T, q *Queue[int], deadline <-chan time.Time) <-chan int {
+	t.Helper()
+	done := make(chan int, 1)
+	go func() {
+		v, ok := q.Get(deadline)
+		if !ok {
+			v = -1
+		}
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		t.Fatalf("get returned %d from an empty open queue", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return done
+}
+
+func wantGet(t *testing.T, done <-chan int, want int) {
+	t.Helper()
+	select {
+	case v := <-done:
+		if v != want {
+			t.Fatalf("blocked get returned %d, want %d (-1 = not ok)", v, want)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("get stayed blocked")
+	}
+}
+
+func TestQueueGetBlocksUntilPut(t *testing.T) {
+	q := NewQueue[int]()
+	done := blockedGet(t, q, nil)
+	q.Put(7)
+	wantGet(t, done, 7)
+}
+
+func TestQueueGetUnblocksOnCloseAndDiscard(t *testing.T) {
+	for name, shut := range map[string]func(*Queue[int]){"close": (*Queue[int]).Close, "discard": (*Queue[int]).Discard} {
+		t.Run(name, func(t *testing.T) {
+			q := NewQueue[int]()
+			a, b := blockedGet(t, q, nil), blockedGet(t, q, nil)
+			shut(q)
+			wantGet(t, a, -1) // one shutdown wakes every blocked consumer
+			wantGet(t, b, -1)
+		})
+	}
+}
+
+func TestQueueGetDeadline(t *testing.T) {
+	q := NewQueue[int]()
+	timer := time.NewTimer(40 * time.Millisecond)
+	defer timer.Stop()
+	done := blockedGet(t, q, timer.C)
+	wantGet(t, done, -1)
+
+	// An expired deadline still hands out what is queued: Get polls.
+	q.Put(3)
+	expired := make(chan time.Time)
+	close(expired)
+	if v, ok := q.Get(expired); !ok || v != 3 {
+		t.Fatalf("poll of a non-empty queue = %d, %v", v, ok)
+	}
+	if _, ok := q.Get(expired); ok {
+		t.Fatal("poll of an empty queue returned an item")
+	}
+}
+
+func TestQueueCloseKeepsBacklogDiscardDropsIt(t *testing.T) {
+	q := NewQueue[int]()
+	q.Put(1)
+	q.Put(2)
+	q.Close()
+	q.Close() // idempotent
+	q.Put(3)  // rejected
+	for want := 1; want <= 2; want++ {
+		if v, ok := q.Get(nil); !ok || v != want {
+			t.Fatalf("after Close: get = %d, %v, want %d", v, ok, want)
+		}
+	}
+	if v, ok := q.Get(nil); ok {
+		t.Fatalf("closed queue accepted %d", v)
+	}
+
+	q = NewQueue[int]()
+	q.Put(1)
+	q.Discard()
+	q.Put(2) // rejected
+	if v, ok := q.Get(nil); ok {
+		t.Fatalf("after Discard: get = %d", v)
+	}
+}
+
+// TestQueueConcurrent hammers one queue from several producers and
+// consumers, then closes it while the consumers are still polling: every
+// item must be consumed exactly once, and nobody may hang or race.
+func TestQueueConcurrent(t *testing.T) {
+	type item struct{ producer, seq int }
+	q := NewQueue[item]()
+	const producers, perProducer, consumers = 4, 250, 3
+	var pwg, cwg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pwg.Add(1)
+		go func() {
+			defer pwg.Done()
+			for i := 0; i < perProducer; i++ {
+				q.Put(item{p, i})
+			}
+		}()
+	}
+	var mu sync.Mutex
+	seen := make(map[item]bool)
+	var consumed atomic.Int64
+	for c := 0; c < consumers; c++ {
+		cwg.Add(1)
+		go func() {
+			defer cwg.Done()
+			for {
+				timer := time.NewTimer(500 * time.Millisecond)
+				it, ok := q.Get(timer.C)
+				timer.Stop()
+				if !ok {
+					return // closed and drained
+				}
+				mu.Lock()
+				if seen[it] {
+					t.Errorf("item %v consumed twice", it)
+				}
+				seen[it] = true
+				mu.Unlock()
+				consumed.Add(1)
+			}
+		}()
+	}
+	pwg.Wait()
+	for consumed.Load() < producers*perProducer {
+		time.Sleep(time.Millisecond)
+	}
+	q.Close()
+	cwg.Wait()
+	q.Put(item{0, -1}) // a quiet no-op
+	if it, ok := q.Get(nil); ok {
+		t.Fatalf("item %v accepted after close", it)
+	}
+}

@@ -1,23 +1,18 @@
-// Package live executes protocol stacks on real goroutines and channels:
-// one event-loop goroutine per process, an in-memory network with
-// configurable latency, and wall-clock timers.
+// Package live executes protocol stacks on real goroutines: an in-memory
+// transport with configurable latency between n evloop.Proc event loops,
+// which supply everything that is not transport (inbox, wall-clock timers,
+// crash and restart).
 //
 // The protocol implementations are exactly the ones the simulator runs —
 // they only see stack.Context. This mirrors the Neko property the paper's
 // evaluation relied on: one implementation, simulated or real execution.
-//
-// All events of a process (message deliveries, timer callbacks, injected
-// actions) are serialized through its mailbox, so protocol code remains
-// lock-free.
 package live
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"abcast/internal/evloop"
 	"abcast/internal/netmodel"
 	"abcast/internal/stack"
 )
@@ -48,42 +43,42 @@ func WithTopology(t *netmodel.Topology) Option { return func(c *config) { c.topo
 // WithSeed seeds the per-process random sources.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
+// Proc is one live process: the shared event-loop core.
+type Proc = evloop.Proc
+
 // Network is an in-memory message-passing network of n processes. Each
 // ordered process pair is connected by a FIFO link (like a TCP connection):
 // messages between the same two processes are delivered in send order.
 type Network struct {
 	cfg   config
 	procs []*Proc // index 0 unused
-	wg    sync.WaitGroup
-	timer timerSet
 
 	linkMu sync.Mutex
-	links  map[linkKey]*link
-	stop   chan struct{}
+	links  map[linkKey]*evloop.Queue[func()]
+	wg     sync.WaitGroup // the link goroutines
+
+	stop     chan struct{} // aborts the links' delivery sleeps
+	stopOnce sync.Once
 }
 
 type linkKey struct{ from, to stack.ProcessID }
 
-// link is a FIFO delivery pipe: a single goroutine drains queued messages
-// in order, sleeping until each one's delivery deadline.
-type link struct {
-	queue *mailbox
-}
-
-// getLink returns (starting if needed) the link from src to dst.
-func (net *Network) getLink(from, to stack.ProcessID) *link {
+// getLink returns (starting if needed) the link from→to: a FIFO
+// delivery pipe whose single goroutine drains queued messages in order,
+// each one sleeping until its delivery deadline.
+func (net *Network) getLink(from, to stack.ProcessID) *evloop.Queue[func()] {
 	net.linkMu.Lock()
 	defer net.linkMu.Unlock()
 	k := linkKey{from, to}
 	l, ok := net.links[k]
 	if !ok {
-		l = &link{queue: newMailbox()}
+		l = evloop.NewQueue[func()]()
 		net.links[k] = l
 		net.wg.Add(1)
 		go func() {
 			defer net.wg.Done()
 			for {
-				fn, ok := l.queue.get(net.stop)
+				fn, ok := l.Get(nil)
 				if !ok {
 					return
 				}
@@ -103,263 +98,83 @@ func NewNetwork(n int, opts ...Option) *Network {
 	net := &Network{
 		cfg:   cfg,
 		procs: make([]*Proc, n+1),
-		links: make(map[linkKey]*link, n*n),
+		links: make(map[linkKey]*evloop.Queue[func()], n*n),
 		stop:  make(chan struct{}),
 	}
 	for i := 1; i <= n; i++ {
-		p := &Proc{
-			net:   net,
-			id:    stack.ProcessID(i),
-			n:     n,
-			inbox: newMailbox(),
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
-			rng:   rand.New(rand.NewSource(cfg.seed + int64(i)*104729)),
-		}
-		p.node.Store(stack.NewNode(p))
-		net.procs[i] = p
-		net.wg.Add(1)
-		go p.loop(&net.wg)
+		from := stack.ProcessID(i)
+		net.procs[i] = evloop.New(from, n, cfg.seed+int64(i)*104729, func(to stack.ProcessID, env stack.Envelope) {
+			net.send(from, to, env)
+		})
+		net.procs[i].Start()
 	}
 	return net
 }
 
-// N returns the number of processes.
-func (net *Network) N() int { return len(net.procs) - 1 }
-
 // Node returns the protocol node of process p for wiring layers. Wire all
 // layers before injecting traffic.
-func (net *Network) Node(p stack.ProcessID) *stack.Node { return net.procs[p].node.Load() }
+func (net *Network) Node(p stack.ProcessID) *stack.Node { return net.procs[p].Node() }
 
 // Proc returns the runtime context of process p.
 func (net *Network) Proc(p stack.ProcessID) *Proc { return net.procs[p] }
 
 // Do runs fn on process p's event loop (used to inject application
 // actions such as broadcasts).
-func (net *Network) Do(p stack.ProcessID, fn func()) { net.procs[p].inbox.put(fn) }
+func (net *Network) Do(p stack.ProcessID, fn func()) { net.procs[p].Do(fn) }
 
 // Crash stops process p: it handles no further events and its pending sends
 // are dropped. Restart revives it as a fresh incarnation.
-func (net *Network) Crash(p stack.ProcessID) { net.procs[p].crashed.Store(true) }
+func (net *Network) Crash(p stack.ProcessID) { net.procs[p].Crash() }
 
-// Restart revives a crashed process as a fresh incarnation: a new protocol
-// node on the same event loop. Bumping the incarnation epoch invalidates
-// every timer the previous incarnation armed (a real restarted process has
-// no memory of its timers), while messages still in flight toward p deliver
-// into the new incarnation — the at-least-once surface a restarted process
-// faces on a real network. The caller wires a fresh protocol stack on the
-// returned node (via Do, so no event precedes complete wiring), typically
-// rehydrating it from a persist.Store the previous incarnation wrote.
-// Restart of a non-crashed process is a caller bug: the old stack would
-// keep running against a node no longer receiving traffic.
-func (net *Network) Restart(p stack.ProcessID) *stack.Node {
-	pr := net.procs[p]
-	pr.epoch.Add(1) // kill the previous incarnation's timers first
-	node := stack.NewNode(pr)
-	pr.node.Store(node)
-	pr.crashed.Store(false)
-	return node
-}
+// Restart revives a crashed process as a fresh incarnation (see
+// evloop.Proc.Restart); the caller wires a fresh protocol stack on the
+// returned node, typically rehydrating it from a persist.Store the previous
+// incarnation wrote.
+func (net *Network) Restart(p stack.ProcessID) *stack.Node { return net.procs[p].Restart() }
 
-// Close shuts down every process loop and link, waits for them to exit,
-// then stops all outstanding timers.
+// Close shuts down every process loop, then every link, and waits for
+// their goroutines to exit. Senders stop first so that no loop can open a
+// new link behind the sweep.
 func (net *Network) Close() {
-	net.linkMu.Lock()
-	select {
-	case <-net.stop:
-	default:
-		close(net.stop)
+	for _, p := range net.procs[1:] {
+		p.Close()
 	}
+	net.stopOnce.Do(func() { close(net.stop) })
+	net.linkMu.Lock()
 	for _, l := range net.links {
-		l.queue.close()
+		l.Discard()
 	}
 	net.linkMu.Unlock()
-	for _, p := range net.procs[1:] {
-		p.closeOnce.Do(func() { close(p.stop) })
-		p.inbox.close()
-	}
 	net.wg.Wait()
-	net.timer.stopAll()
 }
 
-// timerSet tracks outstanding time.Timers so Close can stop them. Timers
-// are created while holding the registry lock, which orders the callback's
-// self-deregistration after registration.
-type timerSet struct {
-	mu     sync.Mutex
-	timers map[uint64]*time.Timer
-	nextID uint64
-}
-
-// schedule arms fn to run after d. The returned function cancels the timer
-// (best effort; a concurrently firing callback may still run).
-func (ts *timerSet) schedule(d time.Duration, fn func()) (cancel func()) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.timers == nil {
-		ts.timers = make(map[uint64]*time.Timer)
-	}
-	id := ts.nextID
-	ts.nextID++
-	t := time.AfterFunc(d, func() {
-		ts.remove(id)
-		fn()
-	})
-	ts.timers[id] = t
-	return func() {
-		ts.mu.Lock()
-		defer ts.mu.Unlock()
-		if t, ok := ts.timers[id]; ok {
-			t.Stop()
-			delete(ts.timers, id)
-		}
-	}
-}
-
-func (ts *timerSet) remove(id uint64) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	delete(ts.timers, id)
-}
-
-func (ts *timerSet) stopAll() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, t := range ts.timers {
-		t.Stop()
-	}
-	ts.timers = nil
-}
-
-// Proc is one live process; it implements stack.Context.
-type Proc struct {
-	net       *Network
-	id        stack.ProcessID
-	n         int
-	node      atomic.Pointer[stack.Node] // swapped by Network.Restart
-	inbox     *mailbox
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	crashed   atomic.Bool
-	// epoch counts incarnations; Network.Restart bumps it. Timer callbacks
-	// capture the epoch they were armed under and drop themselves on
-	// mismatch, so a dead incarnation's timers never fire into a new one.
-	epoch atomic.Int64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-}
-
-var _ stack.Context = (*Proc)(nil)
-
-// loop is the process event loop; all protocol code of this process runs
-// here.
-func (p *Proc) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer close(p.done)
-	for {
-		fn, ok := p.inbox.get(p.stop)
-		if !ok {
-			return
-		}
-		if !p.crashed.Load() {
-			fn()
-		}
-	}
-}
-
-// ID implements stack.Context.
-func (p *Proc) ID() stack.ProcessID { return p.id }
-
-// N implements stack.Context.
-func (p *Proc) N() int { return p.n }
-
-// Now implements stack.Context.
-func (p *Proc) Now() time.Time { return time.Now() }
-
-// Rand implements stack.Context.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
-
-// Crashed implements stack.Context.
-func (p *Proc) Crashed() bool { return p.crashed.Load() }
-
-// Work implements stack.Context; on the live runtime computation costs are
-// real, so no accounting is needed.
-func (p *Proc) Work(time.Duration) {}
-
-// Logf implements stack.Context.
-func (p *Proc) Logf(format string, args ...any) {
-	// The live runtime is used by examples; keep it quiet by default.
-	_ = format
-	_ = args
-}
-
-// Send implements stack.Context: deliver env to the destination's mailbox
-// after the configured latency, in per-link FIFO order (like a TCP
-// connection). Self-sends skip the network but still go through the
-// mailbox, preserving the "events are serialized" contract.
-func (p *Proc) Send(to stack.ProcessID, env stack.Envelope) {
-	if p.crashed.Load() {
-		return
-	}
-	from := p.id
-	dst := p.net.procs[to]
-	if to == p.id {
-		dst.inbox.put(func() { dst.node.Load().Dispatch(from, env) })
-		return
-	}
-	d := p.net.cfg.latency
-	j := p.net.cfg.jitter
-	if t := p.net.cfg.topo; t != nil {
+// send is the transport: deliver env to the destination's inbox after the
+// configured latency, in per-link FIFO order (like a TCP connection).
+func (net *Network) send(from, to stack.ProcessID, env stack.Envelope) {
+	src, dst := net.procs[from], net.procs[to]
+	d := net.cfg.latency
+	j := net.cfg.jitter
+	if t := net.cfg.topo; t != nil {
 		l := t.LinkOf(from, to)
 		d, j = l.Latency, l.Jitter
 	}
 	if j > 0 {
-		p.rngMu.Lock()
-		d += time.Duration(p.rng.Int63n(int64(2*j))) - j
-		p.rngMu.Unlock()
+		d += time.Duration(src.Rand().Int63n(int64(2*j))) - j
 		if d < 0 {
 			d = 0
 		}
 	}
 	deadline := time.Now().Add(d)
-	p.net.getLink(from, to).queue.put(func() {
+	net.getLink(from, to).Put(func() {
 		if wait := time.Until(deadline); wait > 0 {
 			select {
-			case <-p.net.stop:
+			case <-net.stop:
 				return
 			case <-time.After(wait):
 			}
 		}
-		if !p.crashed.Load() { // crashed senders lose in-flight messages
-			dst.inbox.put(func() { dst.node.Load().Dispatch(from, env) })
+		if !src.Crashed() { // crashed senders lose in-flight messages
+			dst.Deliver(from, env)
 		}
 	})
 }
-
-// SetTimer implements stack.Context. The callback belongs to the arming
-// incarnation: it is dropped if the process crashed or restarted (epoch
-// mismatch) before it runs — checked again at execution, because a restart
-// may land between the enqueue and the event loop draining it.
-func (p *Proc) SetTimer(d time.Duration, fn func()) (cancel func()) {
-	var cancelled atomic.Bool
-	epoch := p.epoch.Load()
-	stop := p.net.timer.schedule(d, func() {
-		if cancelled.Load() || p.crashed.Load() || p.epoch.Load() != epoch {
-			return
-		}
-		p.inbox.put(func() {
-			if !cancelled.Load() && p.epoch.Load() == epoch {
-				fn()
-			}
-		})
-	})
-	return func() {
-		cancelled.Store(true)
-		stop()
-	}
-}
-
-// String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("live-p%d", p.id) }

@@ -35,48 +35,8 @@ func (c *capture) snapshot() []int {
 	return append([]int(nil), c.got...)
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached in time")
-}
-
-func TestDeliveryAndFIFOPerSender(t *testing.T) {
-	net := NewNetwork(2, WithLatency(100*time.Microsecond))
-	defer net.Close()
-	var c capture
-	net.Node(2).Register(stack.ProtoApp, c.handler())
-	const count = 50
-	net.Do(1, func() {
-		for i := 0; i < count; i++ {
-			net.Proc(1).Send(2, stack.Envelope{Proto: stack.ProtoApp, Msg: pingMsg{v: i}})
-		}
-	})
-	waitFor(t, 5*time.Second, func() bool { return len(c.snapshot()) == count })
-	// With constant latency, per-sender order is preserved.
-	for i, v := range c.snapshot() {
-		if v != i {
-			t.Fatalf("order broken at %d: %v", i, c.snapshot())
-		}
-	}
-}
-
-func TestSelfSendServedOnLoop(t *testing.T) {
-	net := NewNetwork(1)
-	defer net.Close()
-	var c capture
-	net.Node(1).Register(stack.ProtoApp, c.handler())
-	net.Do(1, func() {
-		net.Proc(1).Send(1, stack.Envelope{Proto: stack.ProtoApp, Msg: pingMsg{v: 42}})
-	})
-	waitFor(t, time.Second, func() bool { return len(c.snapshot()) == 1 })
-}
+// The behaviour both wall-clock runtimes share is pinned by the conformance
+// table in internal/evloop; these are the live transport's own.
 
 func TestCrashStopsDelivery(t *testing.T) {
 	net := NewNetwork(2, WithLatency(50*time.Millisecond))
@@ -96,85 +56,37 @@ func TestCrashStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestCrashedReceiverIgnores(t *testing.T) {
-	net := NewNetwork(2, WithLatency(time.Millisecond))
+// TestRestartIsAFreshIncarnation: the old incarnation's timers die with it,
+// while a message in flight across the restart reaches the new node.
+func TestRestartIsAFreshIncarnation(t *testing.T) {
+	net := NewNetwork(2, WithLatency(30*time.Millisecond))
 	defer net.Close()
-	var c capture
-	net.Node(2).Register(stack.ProtoApp, c.handler())
+	var old, fresh capture
+	var stale atomic.Bool
+	net.Node(2).Register(stack.ProtoApp, old.handler())
+	armed := make(chan struct{})
+	net.Do(2, func() {
+		net.Proc(2).SetTimer(60*time.Millisecond, func() { stale.Store(true) })
+		close(armed)
+	})
+	<-armed
+	net.Do(1, func() {
+		net.Proc(1).Send(2, stack.Envelope{Proto: stack.ProtoApp, Msg: pingMsg{v: 7}})
+	})
 	net.Crash(2)
-	net.Do(1, func() {
-		net.Proc(1).Send(2, stack.Envelope{Proto: stack.ProtoApp, Msg: pingMsg{v: 1}})
-	})
-	time.Sleep(50 * time.Millisecond)
-	if len(c.snapshot()) != 0 {
-		t.Fatal("crashed receiver processed a message")
-	}
-}
-
-func TestTimerFiresAndCancels(t *testing.T) {
-	net := NewNetwork(1)
-	defer net.Close()
-	var fired, cancelled atomic.Int32
-	done := make(chan struct{})
-	net.Do(1, func() {
-		net.Proc(1).SetTimer(5*time.Millisecond, func() {
-			fired.Add(1)
-			close(done)
-		})
-		cancel := net.Proc(1).SetTimer(5*time.Millisecond, func() { cancelled.Add(1) })
-		cancel()
-	})
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("timer never fired")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if fired.Load() != 1 {
-		t.Fatalf("fired %d times", fired.Load())
-	}
-	if cancelled.Load() != 0 {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
-func TestCloseIdempotentAndJoins(t *testing.T) {
-	net := NewNetwork(3)
-	net.Close()
-	net.Close() // second close must be a no-op
-}
-
-func TestMailboxCloseDropsItems(t *testing.T) {
-	m := newMailbox()
-	m.put(func() {})
-	m.close()
-	m.put(func() {}) // dropped
-	stop := make(chan struct{})
-	close(stop)
-	if _, ok := m.get(stop); ok {
-		t.Fatal("got an item from a closed mailbox with closed stop")
-	}
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	m := newMailbox()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		m.put(func() { got = append(got, i) })
-	}
-	stop := make(chan struct{})
-	for i := 0; i < 10; i++ {
-		fn, ok := m.get(stop)
-		if !ok {
-			t.Fatal("mailbox empty early")
+	node := net.Restart(2)
+	net.Do(2, func() { node.Register(stack.ProtoApp, fresh.handler()) })
+	for deadline := time.Now().Add(5 * time.Second); len(fresh.snapshot()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("in-flight message never reached the new incarnation")
 		}
-		fn()
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("mailbox not FIFO: %v", got)
-		}
+	time.Sleep(100 * time.Millisecond)
+	if stale.Load() {
+		t.Fatal("the dead incarnation's timer fired")
+	}
+	if got := old.snapshot(); len(got) != 0 {
+		t.Fatalf("the dead incarnation's node received %v", got)
 	}
 }
 
@@ -189,9 +101,6 @@ func TestContextBasics(t *testing.T) {
 		t.Fatal("fresh process crashed")
 	}
 	p.Work(time.Hour) // must be a no-op, not a sleep
-	if got := p.String(); got != "live-p1" {
-		t.Fatalf("String = %q", got)
-	}
 	if p.Rand() == nil {
 		t.Fatal("nil rng")
 	}

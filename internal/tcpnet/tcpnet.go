@@ -1,6 +1,9 @@
 // Package tcpnet executes protocol stacks over real TCP sockets: one OS
 // process (or one Peer value) per protocol process, length-prefixed
-// gob-encoded envelopes on persistent connections, automatic redial.
+// internal/wire-encoded envelopes on persistent connections, automatic
+// redial. A Peer is a socket transport around one evloop.Proc event loop,
+// which supplies everything that is not transport (inbox, wall-clock
+// timers, crash).
 //
 // Together with internal/simnet (deterministic simulation) and
 // internal/live (in-memory goroutines), this gives the repository the full
@@ -16,12 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"abcast/internal/evloop"
 	"abcast/internal/metrics"
 	"abcast/internal/stack"
 	"abcast/internal/wire"
@@ -31,22 +33,23 @@ import (
 // envelopes are far smaller).
 const maxFrameBytes = 64 << 20
 
+const (
+	dialBackoff = 50 * time.Millisecond // redial interval
+	dialTimeout = 2 * time.Second
+)
+
 // Option configures a Peer.
 type Option func(*config)
 
 type config struct {
 	seed        int64
-	dialBackoff time.Duration
-	dialTimeout time.Duration
+	dialBackoff time.Duration // the dialBackoff constant; only tests shorten it
 	metricsAddr string
 	metrics     *metrics.Registry
 }
 
 // WithSeed seeds the peer's random source.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithDialBackoff sets the redial interval (default 50ms).
-func WithDialBackoff(d time.Duration) Option { return func(c *config) { c.dialBackoff = d } }
 
 // WithMetrics attaches a metrics registry to the peer; wire it into the
 // protocol layers (e.g. core.Config.Metrics) so their counters land in it.
@@ -60,32 +63,17 @@ func WithMetrics(r *metrics.Registry) Option { return func(c *config) { c.metric
 // (useful with ":0"); the exporter shuts down with Close.
 func WithMetricsAddr(addr string) Option { return func(c *config) { c.metricsAddr = addr } }
 
-// Peer is one protocol process attached to a TCP group; it implements
-// stack.Context.
+// Peer is one protocol process attached to a TCP group.
 type Peer struct {
 	cfg     config
-	self    stack.ProcessID
-	n       int
-	node    *stack.Node
+	proc    *evloop.Proc
 	ln      net.Listener
-	inbox   *queue
-	out     []*outbound // index 0 unused; nil at self
+	out     []*outbound // index 0 unused; nil at self and before Start
 	stop    chan struct{}
 	stopped sync.Once
-	wg      sync.WaitGroup
-	crashed atomic.Bool
-	started atomic.Bool
-
-	reg  *metrics.Registry // nil when metrics are off
-	msrv *metrics.Server   // nil without WithMetricsAddr
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	timers timerRegistry
+	wg      sync.WaitGroup  // the accept, read and write loops
+	msrv    *metrics.Server // nil without WithMetricsAddr
 }
-
-var _ stack.Context = (*Peer)(nil)
 
 // Listen creates process self of an n-process group, listening on addr
 // (e.g. "127.0.0.1:0"). Wire protocol layers on Node() before calling
@@ -94,7 +82,7 @@ func Listen(self stack.ProcessID, n int, addr string, opts ...Option) (*Peer, er
 	if self < 1 || int(self) > n {
 		return nil, fmt.Errorf("tcpnet: process id %d out of range 1..%d", self, n)
 	}
-	cfg := config{seed: 1, dialBackoff: 50 * time.Millisecond, dialTimeout: 2 * time.Second}
+	cfg := config{seed: 1, dialBackoff: dialBackoff}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -102,23 +90,18 @@ func Listen(self stack.ProcessID, n int, addr string, opts ...Option) (*Peer, er
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
+	if cfg.metricsAddr != "" && cfg.metrics == nil {
+		cfg.metrics = metrics.New()
+	}
 	p := &Peer{
-		cfg:   cfg,
-		self:  self,
-		n:     n,
-		ln:    ln,
-		inbox: newQueue(),
-		out:   make([]*outbound, n+1),
-		stop:  make(chan struct{}),
-		rng:   rand.New(rand.NewSource(cfg.seed + int64(self)*31337)),
-		reg:   cfg.metrics,
+		cfg:  cfg,
+		ln:   ln,
+		out:  make([]*outbound, n+1),
+		stop: make(chan struct{}),
 	}
 	if cfg.metricsAddr != "" {
-		if p.reg == nil {
-			p.reg = metrics.New()
-		}
 		srv, err := metrics.Serve(cfg.metricsAddr, map[string]*metrics.Registry{
-			fmt.Sprintf("p%d", self): p.reg,
+			fmt.Sprintf("p%d", self): cfg.metrics,
 		})
 		if err != nil {
 			ln.Close()
@@ -126,7 +109,7 @@ func Listen(self stack.ProcessID, n int, addr string, opts ...Option) (*Peer, er
 		}
 		p.msrv = srv
 	}
-	p.node = stack.NewNode(p)
+	p.proc = evloop.New(self, n, cfg.seed+int64(self)*31337, p.send)
 	return p, nil
 }
 
@@ -135,7 +118,7 @@ func (p *Peer) Addr() string { return p.ln.Addr().String() }
 
 // Metrics returns the peer's metrics registry (nil when neither WithMetrics
 // nor WithMetricsAddr was used). Wire it into the protocol layers.
-func (p *Peer) Metrics() *metrics.Registry { return p.reg }
+func (p *Peer) Metrics() *metrics.Registry { return p.cfg.metrics }
 
 // MetricsAddr returns the bound address of the HTTP exporter, or "" when
 // WithMetricsAddr was not used.
@@ -147,34 +130,36 @@ func (p *Peer) MetricsAddr() string {
 }
 
 // Node returns the protocol node for wiring layers (before Start).
-func (p *Peer) Node() *stack.Node { return p.node }
+func (p *Peer) Node() *stack.Node { return p.proc.Node() }
 
 // Start connects to the group and begins processing events. addrs maps
 // every process id (including self, which is ignored) to its address.
 func (p *Peer) Start(addrs map[stack.ProcessID]string) error {
-	for q := stack.ProcessID(1); q <= stack.ProcessID(p.n); q++ {
-		if q == p.self {
+	for q := stack.ProcessID(1); q <= stack.ProcessID(p.proc.N()); q++ {
+		if q == p.proc.ID() {
 			continue
 		}
 		addr, ok := addrs[q]
 		if !ok {
 			return fmt.Errorf("tcpnet: no address for process %d", q)
 		}
-		p.out[q] = newOutbound(p, addr)
+		o := &outbound{peer: p, addr: addr, queue: evloop.NewQueue[func()]()}
+		p.out[q] = o
+		p.wg.Add(1)
+		go o.writeLoop()
 	}
-	p.started.Store(true)
-	p.wg.Add(2)
+	p.wg.Add(1)
 	go p.acceptLoop()
-	go p.eventLoop()
+	p.proc.Start()
 	return nil
 }
 
 // Do runs fn on the peer's event loop.
-func (p *Peer) Do(fn func()) { p.inbox.put(fn) }
+func (p *Peer) Do(fn func()) { p.proc.Do(fn) }
 
-// Crash makes the peer stop processing and sending without closing sockets
-// abruptly ordered — used by fault-injection tests.
-func (p *Peer) Crash() { p.crashed.Store(true) }
+// Crash makes the peer stop processing and sending without closing its
+// sockets — used by fault-injection tests.
+func (p *Peer) Crash() { p.proc.Crash() }
 
 // Close shuts the peer down and waits for its goroutines.
 func (p *Peer) Close() error {
@@ -185,30 +170,15 @@ func (p *Peer) Close() error {
 			p.msrv.Close()
 		}
 		err = p.ln.Close()
-		p.inbox.close()
 		for _, o := range p.out {
 			if o != nil {
-				o.close()
+				o.queue.Discard()
 			}
 		}
-		p.timers.stopAll()
 	})
+	p.proc.Close()
 	p.wg.Wait()
 	return err
-}
-
-// eventLoop serializes all protocol events of this process.
-func (p *Peer) eventLoop() {
-	defer p.wg.Done()
-	for {
-		fn, ok := p.inbox.get(p.stop)
-		if !ok {
-			return
-		}
-		if !p.crashed.Load() {
-			fn()
-		}
-	}
 }
 
 // acceptLoop accepts inbound connections from any peer.
@@ -227,9 +197,17 @@ func (p *Peer) acceptLoop() {
 // readLoop decodes frames from one inbound connection into the event loop.
 func (p *Peer) readLoop(conn net.Conn) {
 	defer p.wg.Done()
-	defer conn.Close()
+	done := make(chan struct{})
+	defer close(done)
+	p.wg.Add(1)
+	// Closes conn once this loop has returned, or under it to unblock its
+	// read when the peer stops.
 	go func() {
-		<-p.stop
+		defer p.wg.Done()
+		select {
+		case <-p.stop:
+		case <-done:
+		}
 		conn.Close()
 	}()
 	for {
@@ -241,65 +219,18 @@ func (p *Peer) readLoop(conn net.Conn) {
 		if err != nil {
 			return // corrupted stream: drop the connection
 		}
-		p.inbox.put(func() { p.node.Dispatch(from, env) })
+		p.proc.Deliver(from, env)
 	}
 }
 
-// ID implements stack.Context.
-func (p *Peer) ID() stack.ProcessID { return p.self }
-
-// N implements stack.Context.
-func (p *Peer) N() int { return p.n }
-
-// Now implements stack.Context.
-func (p *Peer) Now() time.Time { return time.Now() }
-
-// Rand implements stack.Context.
-func (p *Peer) Rand() *rand.Rand { return p.rng }
-
-// Crashed implements stack.Context.
-func (p *Peer) Crashed() bool { return p.crashed.Load() }
-
-// Work implements stack.Context (real computation is real on this runtime).
-func (p *Peer) Work(time.Duration) {}
-
-// Logf implements stack.Context.
-func (p *Peer) Logf(string, ...any) {}
-
-// Send implements stack.Context.
-func (p *Peer) Send(to stack.ProcessID, env stack.Envelope) {
-	if p.crashed.Load() {
-		return
-	}
-	if to == p.self {
-		p.inbox.put(func() { p.node.Dispatch(p.self, env) })
-		return
-	}
+// send is the transport: encode env and queue it on the connection to to.
+func (p *Peer) send(to stack.ProcessID, env stack.Envelope) {
 	if o := p.out[to]; o != nil {
-		data, err := wire.EncodeEnvelope(p.self, env)
+		data, err := wire.EncodeEnvelope(p.proc.ID(), env)
 		if err != nil {
 			return // unencodable message: programming error upstream
 		}
-		o.send(data)
-	}
-}
-
-// SetTimer implements stack.Context.
-func (p *Peer) SetTimer(d time.Duration, fn func()) (cancel func()) {
-	var cancelled atomic.Bool
-	stop := p.timers.schedule(d, func() {
-		if cancelled.Load() || p.crashed.Load() {
-			return
-		}
-		p.inbox.put(func() {
-			if !cancelled.Load() {
-				fn()
-			}
-		})
-	})
-	return func() {
-		cancelled.Store(true)
-		stop()
+		o.queue.Put(func() { o.write(data) })
 	}
 }
 
@@ -307,27 +238,11 @@ func (p *Peer) SetTimer(d time.Duration, fn func()) (cancel func()) {
 // unbounded send queue (reliable-channel semantics between correct
 // processes: nothing is dropped while the process lives).
 type outbound struct {
-	peer   *Peer
-	addr   string
-	queue  *queue
-	closed chan struct{}
-	once   sync.Once
-	conn   net.Conn // owned by writeLoop exclusively
+	peer  *Peer
+	addr  string
+	queue *evloop.Queue[func()]
+	conn  net.Conn // owned by writeLoop exclusively
 }
-
-func newOutbound(p *Peer, addr string) *outbound {
-	o := &outbound{peer: p, addr: addr, queue: newQueue(), closed: make(chan struct{})}
-	p.wg.Add(1)
-	go o.writeLoop()
-	return o
-}
-
-func (o *outbound) send(data []byte) {
-	d := data
-	o.queue.put(func() { o.write(d) })
-}
-
-func (o *outbound) close() { o.once.Do(func() { close(o.closed) }) }
 
 // writeLoop drains the queue; write handles (re)dialing.
 func (o *outbound) writeLoop() {
@@ -338,7 +253,7 @@ func (o *outbound) writeLoop() {
 		}
 	}()
 	for {
-		fn, ok := o.queue.get(o.closed)
+		fn, ok := o.queue.Get(nil)
 		if !ok {
 			return
 		}
@@ -346,24 +261,23 @@ func (o *outbound) writeLoop() {
 	}
 }
 
+// write puts one frame on the wire, (re)dialing until it is written or the
+// peer closes: giving up earlier would leave a silent hole in the stream.
 func (o *outbound) write(data []byte) {
-	for attempt := 0; ; attempt++ {
+	for {
 		select {
-		case <-o.closed:
+		case <-o.peer.stop:
 			return
 		default:
 		}
 		if o.conn == nil {
-			conn, err := net.DialTimeout("tcp", o.addr, o.peer.cfg.dialTimeout)
+			conn, err := net.DialTimeout("tcp", o.addr, dialTimeout)
 			if err != nil {
 				// Peer not up (yet): back off and retry. A crashed peer
 				// keeps us retrying, which is fine — channels only
 				// promise delivery between correct processes.
-				if attempt > 200 {
-					return // give up on persistent failure
-				}
 				select {
-				case <-o.closed:
+				case <-o.peer.stop:
 					return
 				case <-time.After(o.peer.cfg.dialBackoff):
 				}

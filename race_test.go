@@ -1,79 +1,18 @@
 package abcast
 
 // Concurrency tests meant to run under the race detector (the CI runs
-// `go test -race ./...`): the deliveryQueue and the public Cluster surface
-// are the two places where caller goroutines meet the per-process event
-// loops.
+// `go test -race ./...`): the public Cluster surface is where caller
+// goroutines meet the per-process event loops (the delivery queue itself is
+// hammered in internal/evloop).
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"abcast/internal/stack"
 )
-
-// TestDeliveryQueueConcurrent hammers one deliveryQueue from several
-// producers and consumers, then closes it mid-stream: every item must be
-// consumed at most once, and nobody may hang or race.
-func TestDeliveryQueueConcurrent(t *testing.T) {
-	q := newDeliveryQueue()
-	const producers, perProducer, consumers = 4, 250, 3
-	var consumed int64
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				q.put(Delivery{Sender: p + 1, Seq: uint64(i + 1)})
-			}
-		}()
-	}
-	seen := make([]map[uint64]bool, producers+1)
-	var seenMu sync.Mutex
-	for i := 1; i <= producers; i++ {
-		seen[i] = make(map[uint64]bool)
-	}
-	var cwg sync.WaitGroup
-	for c := 0; c < consumers; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for {
-				d, ok := q.next(500 * time.Millisecond)
-				if !ok {
-					return // closed or drained
-				}
-				seenMu.Lock()
-				if seen[d.Sender][d.Seq] {
-					t.Errorf("delivery %d:%d consumed twice", d.Sender, d.Seq)
-				}
-				seen[d.Sender][d.Seq] = true
-				seenMu.Unlock()
-				atomic.AddInt64(&consumed, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	// Let the consumers drain, then close while they are still polling.
-	for atomic.LoadInt64(&consumed) < producers*perProducer {
-		time.Sleep(time.Millisecond)
-	}
-	q.close()
-	cwg.Wait()
-	if got := atomic.LoadInt64(&consumed); got != producers*perProducer {
-		t.Fatalf("consumed %d of %d deliveries", got, producers*perProducer)
-	}
-	// put after close must be a quiet no-op.
-	q.put(Delivery{Sender: 1, Seq: 9999})
-	if _, ok := q.next(10 * time.Millisecond); ok {
-		t.Fatal("delivery accepted after close")
-	}
-}
 
 // TestClusterConcurrentUse exercises the full public surface — Broadcast,
 // Next, Stats — from many goroutines against a pipelined live cluster, and
