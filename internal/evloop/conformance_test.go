@@ -195,6 +195,21 @@ var conformance = []struct {
 			t.Fatalf("crashed process handled events %v", got)
 		}
 	}},
+	{"a timer due after close fires into nothing", 1, func(t *testing.T, g group) {
+		var l log
+		g.start(t)
+		armed := make(chan struct{})
+		g.do(1, func() {
+			g.node(1).Context().SetTimer(10*time.Millisecond, func() { l.add(fired) })
+			close(armed)
+		})
+		<-armed
+		g.close() // nothing tracks the timer: it fires, and finds the inbox shut
+		time.Sleep(50 * time.Millisecond)
+		if got := l.snapshot(); len(got) != 0 {
+			t.Fatalf("closed process handled events %v", got)
+		}
+	}},
 	{"close is idempotent, joins every goroutine, and silences Do", 3, func(t *testing.T, g group) {
 		var l log
 		g.start(t)

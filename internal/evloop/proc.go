@@ -1,9 +1,9 @@
 // Package evloop is the wall-clock process runtime shared by internal/live
-// and internal/tcpnet: the unbounded Queue, the tracked Timers set and the
-// Proc core — one goroutine serializing every event of a protocol process
-// (message dispatches, timer callbacks, injected actions), so protocol code
-// stays lock-free. A transport supplies only how an envelope reaches
-// another process; everything else a stack.Context promises lives here.
+// and internal/tcpnet: the unbounded Queue and the Proc core — one goroutine
+// serializing every event of a protocol process (message dispatches, timer
+// callbacks, injected actions), so protocol code stays lock-free. A
+// transport supplies only how an envelope reaches another process;
+// everything else a stack.Context promises lives here.
 package evloop
 
 import (
@@ -25,10 +25,10 @@ type Proc struct {
 	rng    *rand.Rand                                   // drawn from on the loop only
 	remote func(to stack.ProcessID, env stack.Envelope) // the transport
 	node   atomic.Pointer[stack.Node]                   // swapped by Restart
-	inbox  *Queue[func()]
-	timers Timers
+	inbox  *Queue[event]
 	loop   sync.WaitGroup
 
+	closed  atomic.Bool // Close was called: the loop drops what it already took
 	crashed atomic.Bool
 	// epoch counts incarnations; Restart bumps it. Timer callbacks capture
 	// the epoch they were armed under and drop themselves on mismatch, so a
@@ -37,6 +37,15 @@ type Proc struct {
 }
 
 var _ stack.Context = (*Proc)(nil)
+
+// event is one inbox entry: an action to run (fn), or, when fn is nil, an
+// envelope to dispatch. Envelopes travel as data so that Deliver allocates
+// no closure per message.
+type event struct {
+	fn   func()
+	from stack.ProcessID
+	env  stack.Envelope
+}
 
 // New creates process id of an n-process group. remote carries an envelope
 // to another process; it is called on the loop, never for id itself and
@@ -47,37 +56,44 @@ func New(id stack.ProcessID, n int, seed int64, remote func(to stack.ProcessID, 
 		n:      n,
 		rng:    rand.New(rand.NewSource(seed)),
 		remote: remote,
-		inbox:  NewQueue[func()](),
+		inbox:  NewQueue[event](),
 	}
 	p.node.Store(stack.NewNode(p))
 	return p
 }
 
 // Start launches the event loop; all protocol code of the process runs on
-// it. Call it once.
+// it. Call it once. A wake-up takes the whole backlog: one lock per burst.
 func (p *Proc) Start() {
 	p.loop.Add(1)
 	go func() {
 		defer p.loop.Done()
+		var batch []event
 		for {
-			fn, ok := p.inbox.Get(nil)
-			if !ok {
+			var ok bool
+			if batch, ok = p.inbox.GetAll(batch, nil); !ok {
 				return
 			}
-			if !p.crashed.Load() {
-				fn()
+			for _, ev := range batch {
+				switch {
+				case p.crashed.Load() || p.closed.Load():
+				case ev.fn != nil:
+					ev.fn()
+				default:
+					p.node.Load().Dispatch(ev.from, ev.env)
+				}
 			}
 		}
 	}()
 }
 
-// Close discards pending events, waits for the loop to exit, then stops
-// the outstanding timers. It is idempotent; Do and Deliver afterwards are
-// no-ops.
+// Close discards pending events and waits for the loop to exit. It is
+// idempotent; Do and Deliver afterwards are no-ops, and so is a timer that
+// fires later: its callback finds the inbox shut.
 func (p *Proc) Close() {
+	p.closed.Store(true)
 	p.inbox.Discard()
 	p.loop.Wait()
-	p.timers.StopAll()
 }
 
 // Node returns the protocol node of the current incarnation for wiring
@@ -86,12 +102,12 @@ func (p *Proc) Node() *stack.Node { return p.node.Load() }
 
 // Do runs fn on the event loop (used to inject application actions such as
 // broadcasts).
-func (p *Proc) Do(fn func()) { p.inbox.Put(fn) }
+func (p *Proc) Do(fn func()) { p.inbox.Put(event{fn: fn}) }
 
 // Deliver queues an envelope received from process from for dispatch on
 // the loop; transports call it from their own goroutines.
 func (p *Proc) Deliver(from stack.ProcessID, env stack.Envelope) {
-	p.inbox.Put(func() { p.node.Load().Dispatch(from, env) })
+	p.inbox.Put(event{from: from, env: env})
 }
 
 // Crash stops the process: it handles no further events (its armed timers
@@ -156,11 +172,11 @@ func (p *Proc) Send(to stack.ProcessID, env stack.Envelope) {
 func (p *Proc) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	var cancelled atomic.Bool
 	epoch := p.epoch.Load()
-	stop := p.timers.Schedule(d, func() {
+	t := time.AfterFunc(d, func() {
 		if cancelled.Load() || p.crashed.Load() || p.epoch.Load() != epoch {
 			return
 		}
-		p.inbox.Put(func() {
+		p.Do(func() {
 			if !cancelled.Load() && p.epoch.Load() == epoch {
 				fn()
 			}
@@ -168,6 +184,6 @@ func (p *Proc) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	})
 	return func() {
 		cancelled.Store(true)
-		stop()
+		t.Stop()
 	}
 }

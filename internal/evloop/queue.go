@@ -5,12 +5,16 @@ import (
 	"time"
 )
 
+// keepCap is the largest backlog slice GetAll keeps for reuse, in items: a
+// burst must not pin its high-water mark for the life of the queue.
+const keepCap = 4096
+
 // Queue is an unbounded FIFO. Unboundedness matters: protocol handlers send
 // while handling, so a bounded inbox could deadlock two processes sending
 // to each other under backpressure.
 //
-// Any number of goroutines may Put. Get is meant for one consumer at a
-// time: each Put posts at most one wake-up, so of several blocked consumers
+// Any number of goroutines may Put. Get and GetAll are for one consumer at
+// a time: each Put posts at most one wake-up, so of several blocked consumers
 // only one is sure to see it before the next Put or its own deadline.
 type Queue[T any] struct {
 	mu     sync.Mutex
@@ -41,25 +45,52 @@ func (q *Queue[T]) Put(v T) {
 // reports false in the last two cases.
 func (q *Queue[T]) Get(deadline <-chan time.Time) (T, bool) {
 	var zero T
+	if !q.await(deadline) {
+		return zero, false
+	}
+	v := q.items[0]
+	q.items[0] = zero
+	q.items = q.items[1:]
+	q.mu.Unlock()
+	return v, true
+}
+
+// GetAll is Get for a consumer that pays one lock and one wake-up per
+// backlog rather than per item: it returns everything queued, in order, and
+// parks buf — the slice the previous call returned, which the consumer is
+// done with — as the next backlog, so that two slices swap for good.
+func (q *Queue[T]) GetAll(buf []T, deadline <-chan time.Time) ([]T, bool) {
+	if cap(buf) > keepCap {
+		buf = nil
+	}
+	clear(buf) // drop the consumed items' references before they are parked
+	if !q.await(deadline) {
+		return nil, false
+	}
+	batch := q.items
+	q.items = buf[:0]
+	q.mu.Unlock()
+	return batch, true
+}
+
+// await blocks until an item is queued and returns true holding q.mu, or
+// false, unlocked, when the queue is closed and drained or deadline fired.
+func (q *Queue[T]) await(deadline <-chan time.Time) bool {
 	for {
 		q.mu.Lock()
 		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items[0] = zero
-			q.items = q.items[1:]
-			q.mu.Unlock()
-			return v, true
+			return true
 		}
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
 			q.wake() // pass the close on to any other blocked consumer
-			return zero, false
+			return false
 		}
 		select {
 		case <-q.signal:
 		case <-deadline:
-			return zero, false
+			return false
 		}
 	}
 }

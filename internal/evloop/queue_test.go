@@ -19,6 +19,58 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueGetAll: one call takes the whole backlog in order, the slice
+// handed back is reused for later Puts, and shutdown reads as with Get.
+func TestQueueGetAll(t *testing.T) {
+	q := NewQueue[*int]()
+	vals := []int{0, 1, 2, 3, 4}
+	for i := range vals[:3] {
+		q.Put(&vals[i])
+	}
+	first, ok := q.GetAll(nil, nil)
+	if !ok || len(first) != 3 || *first[0] != 0 || *first[2] != 2 {
+		t.Fatalf("first batch = %v, %v", first, ok)
+	}
+	q.Put(&vals[3])
+	second, ok := q.GetAll(nil, nil)
+	if !ok || len(second) != 1 || *second[0] != 3 {
+		t.Fatalf("second batch = %v, %v", second, ok)
+	}
+	// Handing the first batch back parks it, cleared, as the next backlog.
+	q.Put(&vals[4])
+	third, ok := q.GetAll(first, nil)
+	if !ok || len(third) != 1 || *third[0] != 4 {
+		t.Fatalf("third batch = %v, %v", third, ok)
+	}
+	if first[0] != nil || first[2] != nil {
+		t.Fatal("returned batch still references its items")
+	}
+	q.Put(&vals[0])
+	if &first[0] != &q.items[0] {
+		t.Fatal("returned batch was not reused for the backlog")
+	}
+	// A burst does not pin its high-water mark.
+	big := make([]*int, keepCap+1)
+	q.GetAll(big, nil)
+	if cap(q.items) > keepCap {
+		t.Fatalf("kept a spare of %d items", cap(q.items))
+	}
+
+	expired := make(chan time.Time)
+	close(expired)
+	if batch, ok := q.GetAll(nil, expired); ok {
+		t.Fatalf("poll of an empty queue returned %v", batch)
+	}
+	q.Put(&vals[1])
+	q.Close()
+	if batch, ok := q.GetAll(nil, nil); !ok || len(batch) != 1 {
+		t.Fatalf("closed queue lost its backlog: %v, %v", batch, ok)
+	}
+	if batch, ok := q.GetAll(nil, nil); ok {
+		t.Fatalf("closed, drained queue returned %v", batch)
+	}
+}
+
 // blockedGet starts a Get on its own goroutine and checks that it does not
 // return before the caller acts.
 func blockedGet(t *testing.T, q *Queue[int], deadline <-chan time.Time) <-chan int {

@@ -1,9 +1,8 @@
 // Package tcpnet executes protocol stacks over real TCP sockets: one OS
-// process (or one Peer value) per protocol process, length-prefixed
-// internal/wire-encoded envelopes on persistent connections, automatic
-// redial. A Peer is a socket transport around one evloop.Proc event loop,
-// which supplies everything that is not transport (inbox, wall-clock
-// timers, crash).
+// process (or one Peer value) per protocol process, internal/wire-encoded
+// envelopes on persistent connections, automatic redial. A Peer is a socket
+// transport around one evloop.Proc event loop, which supplies everything
+// that is not transport (inbox, wall-clock timers, crash).
 //
 // Together with internal/simnet (deterministic simulation) and
 // internal/live (in-memory goroutines), this gives the repository the full
@@ -12,9 +11,34 @@
 //
 // Lifecycle: Listen → wire protocol layers on Node() → Start → Do/traffic →
 // Close.
+//
+// Framing. A connection carries frames one way, each a 4-byte big-endian
+// body length followed by the body, one wire.EncodeEnvelope image. A length
+// above maxFrameBytes or an undecodable body drops the connection.
+//
+// Flush policy. Send encodes the frame in place at the end of what is
+// pending for the connection and wakes the writer, which hands the kernel
+// whatever is pending when it wakes, in one Write (one per runBytes when a
+// burst outgrew a buffer). Nothing is ever delayed and nothing is tunable:
+// a lone frame leaves at once in one syscall (TCP_NODELAY stays on), and
+// frames sent while a Write is in flight leave together in the next.
+//
+// Partial writes. When a Write fails after n bytes, the frames wholly
+// inside those n bytes count as sent, as a frame written just before a
+// connection was lost always did; the writer redials and resends from the
+// first frame boundary after them, found by walking the length prefixes.
+// The receiver drops the torn frame with the old connection: no duplicate,
+// and no hole the sender could know of.
+//
+// Buffer ownership on read. A buffered reader per connection lets one read
+// syscall serve every frame it holds; each is dispatched before the next
+// blocking read. A body is copied into an allocation of its own size, not
+// sliced from a shared slab: decoded payloads alias it for as long as the
+// protocol layers keep them (wire.DecodeEnvelope).
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,11 +53,18 @@ import (
 	"abcast/internal/wire"
 )
 
-// maxFrameBytes bounds a single envelope on the wire (defensive; protocol
-// envelopes are far smaller).
-const maxFrameBytes = 64 << 20
-
 const (
+	// maxFrameBytes bounds a single envelope on the wire (defensive;
+	// protocol envelopes are far smaller).
+	maxFrameBytes = 64 << 20
+	// frameChunk is how far ahead of the bytes received readFrame commits
+	// memory: a peer claiming maxFrameBytes and sending nothing costs this.
+	frameChunk = 1 << 20
+	// runBytes is the size a pending run of frames is not regrown past,
+	// and the largest written run kept for reuse: a burst's backlog is
+	// neither copied as it grows nor pinned once it is gone.
+	runBytes = 1 << 20
+
 	dialBackoff = 50 * time.Millisecond // redial interval
 	dialTimeout = 2 * time.Second
 )
@@ -43,7 +74,8 @@ type Option func(*config)
 
 type config struct {
 	seed        int64
-	dialBackoff time.Duration // the dialBackoff constant; only tests shorten it
+	dialBackoff time.Duration                                                       // the dialBackoff constant; only tests shorten it
+	dial        func(network, addr string, timeout time.Duration) (net.Conn, error) // only tests replace it
 	metricsAddr string
 	metrics     *metrics.Registry
 }
@@ -82,7 +114,7 @@ func Listen(self stack.ProcessID, n int, addr string, opts ...Option) (*Peer, er
 	if self < 1 || int(self) > n {
 		return nil, fmt.Errorf("tcpnet: process id %d out of range 1..%d", self, n)
 	}
-	cfg := config{seed: 1, dialBackoff: dialBackoff}
+	cfg := config{seed: 1, dialBackoff: dialBackoff, dial: net.DialTimeout}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -143,10 +175,8 @@ func (p *Peer) Start(addrs map[stack.ProcessID]string) error {
 		if !ok {
 			return fmt.Errorf("tcpnet: no address for process %d", q)
 		}
-		o := &outbound{peer: p, addr: addr, queue: evloop.NewQueue[func()]()}
-		p.out[q] = o
 		p.wg.Add(1)
-		go o.writeLoop()
+		go p.connect(q, addr).writeLoop()
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -170,11 +200,6 @@ func (p *Peer) Close() error {
 			p.msrv.Close()
 		}
 		err = p.ln.Close()
-		for _, o := range p.out {
-			if o != nil {
-				o.queue.Discard()
-			}
-		}
 	})
 	p.proc.Close()
 	p.wg.Wait()
@@ -210,8 +235,9 @@ func (p *Peer) readLoop(conn net.Conn) {
 		}
 		conn.Close()
 	}()
+	r := bufio.NewReader(conn)
 	for {
-		data, err := readFrame(conn)
+		data, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -223,28 +249,68 @@ func (p *Peer) readLoop(conn net.Conn) {
 	}
 }
 
-// send is the transport: encode env and queue it on the connection to to.
+// send is the transport: frame env at the end of what is pending for the
+// connection to to, and wake its writer.
 func (p *Peer) send(to stack.ProcessID, env stack.Envelope) {
-	if o := p.out[to]; o != nil {
-		data, err := wire.EncodeEnvelope(p.proc.ID(), env)
-		if err != nil {
-			return // unencodable message: programming error upstream
-		}
-		o.queue.Put(func() { o.write(data) })
+	o := p.out[to]
+	if o == nil || env.Msg == nil {
+		return
+	}
+	o.mu.Lock()
+	if n := len(o.pending); n == 0 {
+		o.pending = append(o.pending, o.spare[0][:0])
+		o.spare[0], o.spare[1] = o.spare[1], nil
+	} else if last, need := o.pending[n-1], 4+env.WireSize()+16; len(last)+need > max(cap(last), runBytes) {
+		// The writer is far behind (need is wire.EncodeEnvelope's estimate):
+		// growing the run would copy the backlog over and over; start anew.
+		o.pending = append(o.pending, make([]byte, 0, max(need, runBytes)))
+	}
+	last := len(o.pending) - 1
+	run := o.pending[last]
+	buf, err := wire.AppendEnvelope(append(run, 0, 0, 0, 0), p.proc.ID(), env)
+	if err != nil {
+		o.mu.Unlock()
+		return // unencodable message: programming error upstream
+	}
+	binary.BigEndian.PutUint32(buf[len(run):], uint32(len(buf)-len(run)-4))
+	o.pending[last] = buf
+	o.mu.Unlock()
+	o.depth.Add(int64(len(buf) - len(run)))
+	select {
+	case o.wake <- struct{}{}:
+	default:
 	}
 }
 
 // outbound is a persistent, self-healing connection to one peer with an
-// unbounded send queue (reliable-channel semantics between correct
+// unbounded pending buffer (reliable-channel semantics between correct
 // processes: nothing is dropped while the process lives).
 type outbound struct {
 	peer  *Peer
 	addr  string
-	queue *evloop.Queue[func()]
-	conn  net.Conn // owned by writeLoop exclusively
+	depth *metrics.Gauge // bytes framed by send and not yet written
+
+	mu      sync.Mutex
+	pending [][]byte      // runs of whole frames, in order; send appends to the last
+	spare   [2][]byte     // written runs for send to reuse: the two a steady stream alternates
+	wake    chan struct{} // posted by send; buffered so that send never blocks
+
+	conn net.Conn // owned by writeLoop exclusively
 }
 
-// writeLoop drains the queue; write handles (re)dialing.
+// connect sets up the outbound connection to q; its writeLoop dials.
+func (p *Peer) connect(q stack.ProcessID, addr string) *outbound {
+	p.out[q] = &outbound{
+		peer:  p,
+		addr:  addr,
+		depth: p.cfg.metrics.Gauge(fmt.Sprintf("tcpnet.pending_bytes.p%d", q)),
+		wake:  make(chan struct{}, 1),
+	}
+	return p.out[q]
+}
+
+// writeLoop takes what is pending at each wake-up and writes it, one Write
+// per run: one in all unless more than runBytes piled up meanwhile.
 func (o *outbound) writeLoop() {
 	defer o.peer.wg.Done()
 	defer func() {
@@ -252,72 +318,101 @@ func (o *outbound) writeLoop() {
 			o.conn.Close()
 		}
 	}()
+	var batch [][]byte
 	for {
-		fn, ok := o.queue.Get(nil)
-		if !ok {
-			return
+		o.mu.Lock()
+		if len(batch) > 0 && cap(batch[0]) <= runBytes {
+			o.spare[0], o.spare[1] = batch[0], o.spare[0] // a burst's other runs are let go
 		}
-		fn()
+		clear(batch)
+		batch, o.pending = o.pending, batch[:0]
+		o.mu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-o.wake:
+				continue
+			case <-o.peer.stop:
+				return
+			}
+		}
+		for _, run := range batch {
+			if !o.flush(run) {
+				return
+			}
+			o.depth.Add(-int64(len(run)))
+		}
 	}
 }
 
-// write puts one frame on the wire, (re)dialing until it is written or the
-// peer closes: giving up earlier would leave a silent hole in the stream.
-func (o *outbound) write(data []byte) {
-	for {
+// flush puts batch, a run of whole frames, on the wire, (re)dialing until
+// it is written or the peer closes (false): giving up earlier would leave
+// a silent hole in the stream.
+func (o *outbound) flush(batch []byte) bool {
+	for len(batch) > 0 {
 		select {
 		case <-o.peer.stop:
-			return
+			return false
 		default:
 		}
 		if o.conn == nil {
-			conn, err := net.DialTimeout("tcp", o.addr, dialTimeout)
+			conn, err := o.peer.cfg.dial("tcp", o.addr, dialTimeout)
 			if err != nil {
 				// Peer not up (yet): back off and retry. A crashed peer
 				// keeps us retrying, which is fine — channels only
 				// promise delivery between correct processes.
 				select {
 				case <-o.peer.stop:
-					return
+					return false
 				case <-time.After(o.peer.cfg.dialBackoff):
 				}
 				continue
 			}
 			o.conn = conn
 		}
-		if err := writeFrame(o.conn, data); err != nil {
-			o.conn.Close()
-			o.conn = nil
-			continue // redial and resend
+		n, err := o.conn.Write(batch)
+		if err == nil {
+			return true
 		}
-		return
+		o.conn.Close()
+		o.conn = nil
+		batch = batch[wholeFrames(batch, n):] // redial and resend the rest
 	}
+	return true
 }
 
-// writeFrame emits a length-prefixed frame.
-func writeFrame(w io.Writer, data []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// wholeFrames returns the length of the longest run of whole frames within
+// the first n bytes of batch.
+func wholeFrames(batch []byte, n int) int {
+	end := 0
+	for end+4 <= n {
+		next := end + 4 + int(binary.BigEndian.Uint32(batch[end:]))
+		if next > n {
+			break
+		}
+		end = next
 	}
-	_, err := w.Write(data)
-	return err
+	return end
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one length-prefixed frame into a buffer of its own (see
+// the package doc: decoded payloads alias it).
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size > maxFrameBytes {
 		return nil, errors.New("tcpnet: oversized frame")
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered the four bytes
+	var data []byte
+	for len(data) < size { // memory is committed a chunk ahead of the bytes at most
+		n := min(size-len(data), frameChunk)
+		data = append(data, make([]byte, n)...)
+		if _, err := io.ReadFull(r, data[len(data)-n:]); err != nil {
+			return nil, err
+		}
 	}
 	return data, nil
 }

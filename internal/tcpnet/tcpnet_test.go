@@ -153,68 +153,6 @@ func TestTCPConsensusOnMessages(t *testing.T) {
 	g.waitDelivered(t, []int{1, 2, 3}, 1, 20*time.Second)
 }
 
-// TestLatePeerReceivesEveryFrame: the outbound queue redials for as long as
-// it takes, so a peer that comes up late — here after several hundred
-// refused dials — reads the stream from frame 1 with no hole.
-func TestLatePeerReceivesEveryFrame(t *testing.T) {
-	// An address nobody listens on yet: dials to it are refused.
-	hold, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := hold.Addr().String()
-	hold.Close()
-
-	p1, err := Listen(1, 2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Close()
-	p1.cfg.dialBackoff = time.Millisecond
-	if err := p1.Start(map[stack.ProcessID]string{2: addr}); err != nil {
-		t.Fatal(err)
-	}
-	const frames = 5
-	p1.Do(func() {
-		for i := 1; i <= frames; i++ {
-			p1.Node().Proto(stack.ProtoApp).Send(2, uint64(i), fd.HeartbeatMsg{})
-		}
-	})
-	time.Sleep(600 * time.Millisecond) // several hundred refused dials at the 1 ms backoff
-
-	p2, err := Listen(2, 2, addr)
-	if err != nil {
-		t.Skipf("reserved address taken meanwhile: %v", err)
-	}
-	defer p2.Close()
-	var mu sync.Mutex
-	var got []uint64
-	p2.Node().Register(stack.ProtoApp, stack.HandlerFunc(func(_ stack.ProcessID, inst uint64, _ stack.Message) {
-		mu.Lock()
-		got = append(got, inst)
-		mu.Unlock()
-	}))
-	if err := p2.Start(map[stack.ProcessID]string{1: p1.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == frames {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("late peer received %d of %d frames: %v", n, frames, got)
-		}
-	}
-	for i, inst := range got {
-		if inst != uint64(i+1) {
-			t.Fatalf("stream has a hole or is out of order: %v", got)
-		}
-	}
-}
-
 // TestInboundConnectionLeavesNoGoroutine: everything a readLoop starts
 // exits with its connection, not only at Close — a sender redials after
 // every write error, so connections come and go while the peer lives.

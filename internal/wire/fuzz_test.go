@@ -10,6 +10,7 @@ package wire
 // corpus format; CI runs each target for a short -fuzztime as a smoke.
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -79,6 +80,17 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if gotFrom != sender || !reflect.DeepEqual(got, env) {
 			t.Fatalf("round-trip mismatch for %T:\n got:  %#v\n want: %#v", env.Msg, got, env)
+		}
+		// The append form, into a buffer already holding other frames,
+		// adds exactly those bytes.
+		prefix := make([]byte, rng.Intn(64), 64) // mostly too small: the append must survive regrowth
+		rng.Read(prefix)
+		appended, err := AppendEnvelope(append([]byte(nil), prefix...), sender, env)
+		if err != nil {
+			t.Fatalf("append %T: %v", env.Msg, err)
+		}
+		if !bytes.Equal(appended, append(prefix, data...)) {
+			t.Fatalf("AppendEnvelope of %T differs from EncodeEnvelope", env.Msg)
 		}
 	})
 }

@@ -35,14 +35,22 @@ func EncodeEnvelope(from stack.ProcessID, env stack.Envelope) ([]byte, error) {
 	}
 	// WireSize models the payload bytes closely enough that growth past
 	// the initial capacity is rare; the slack covers varint headers.
-	buf := make([]byte, 0, env.WireSize()+16)
-	buf = append(buf, Version)
-	buf = bin.AppendVarint(buf, int64(from))
-	buf, err := appendEnvelope(buf, env, 0)
+	return AppendEnvelope(make([]byte, 0, env.WireSize()+16), from, env)
+}
+
+// AppendEnvelope appends the bytes EncodeEnvelope would return to dst, for
+// a transport that frames envelopes into a buffer it already owns.
+func AppendEnvelope(dst []byte, from stack.ProcessID, env stack.Envelope) ([]byte, error) {
+	if env.Msg == nil {
+		return nil, fmt.Errorf("encode envelope: %w", errNilMessage)
+	}
+	dst = append(dst, Version)
+	dst = bin.AppendVarint(dst, int64(from))
+	dst, err := appendEnvelope(dst, env, 0)
 	if err != nil {
 		return nil, fmt.Errorf("encode envelope: %w", err)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // DecodeEnvelope is the inverse of EncodeEnvelope. Decoded messages may

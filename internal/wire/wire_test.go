@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"abcast/internal/consensus"
@@ -49,6 +50,34 @@ func TestEveryWireTypeRoundTrips(t *testing.T) {
 		if got.Msg.WireSize() != env.Msg.WireSize() {
 			t.Fatalf("%T: wire size %d != %d", env.Msg, got.Msg.WireSize(), env.Msg.WireSize())
 		}
+	}
+}
+
+// TestAppendEnvelopeMatchesEncode: for every registered type, appending to a
+// buffer that already holds bytes leaves them alone and adds exactly what
+// EncodeEnvelope returns — what lets tcpnet frame in place.
+func TestAppendEnvelopeMatchesEncode(t *testing.T) {
+	envs := caseEnvelopes()
+	for _, c := range goldenCases() {
+		envs = append(envs, c.env)
+	}
+	var buf []byte // grows across the cases, so later ones append to earlier frames
+	for _, env := range envs {
+		want, err := EncodeEnvelope(5, env)
+		if err != nil {
+			t.Fatalf("encode %T: %v", env.Msg, err)
+		}
+		before := append([]byte(nil), buf...)
+		buf, err = AppendEnvelope(buf, 5, env)
+		if err != nil {
+			t.Fatalf("append %T: %v", env.Msg, err)
+		}
+		if !bytes.Equal(buf, append(before, want...)) {
+			t.Fatalf("%T: AppendEnvelope after %d bytes differs from EncodeEnvelope", env.Msg, len(before))
+		}
+	}
+	if got, err := AppendEnvelope(buf, 5, stack.Envelope{}); err == nil || got != nil {
+		t.Fatalf("nil message: %d bytes, error %v", len(got), err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"abcast/internal/netmodel"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
+	"abcast/internal/tcpnet"
 	"abcast/internal/trace"
 )
 
@@ -206,9 +207,10 @@ func TestClusterStatsSurfacesPersistCounters(t *testing.T) {
 
 // TestMetricsCatalogDocumented is the metric-name drift gate, the
 // counterpart of CI's knob-matrix check: every metric a fully-featured
-// process registers — plus the simulator's traffic counters — must appear
-// backticked in docs/OPERATIONS.md, so the doc's catalog cannot silently
-// fall behind the code.
+// process registers — plus the simulator's traffic counters and a tcpnet
+// peer's per-connection gauges, `p<q>` standing for the peer they point at —
+// must appear backticked in docs/OPERATIONS.md, so the doc's catalog cannot
+// silently fall behind the code.
 func TestMetricsCatalogDocumented(t *testing.T) {
 	c, err := New(3, Options{
 		Metrics:  true,
@@ -226,6 +228,17 @@ func TestMetricsCatalogDocumented(t *testing.T) {
 	simReg := metrics.New()
 	simnet.NewWorld(2, netmodel.Setup1(), 1).SetMetrics(simReg)
 	names = append(names, simReg.Names()...)
+	peer, err := tcpnet.Listen(1, 2, "127.0.0.1:0", tcpnet.WithMetrics(metrics.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if err := peer.Start(map[stack.ProcessID]string{2: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range peer.Metrics().Names() {
+		names = append(names, strings.TrimSuffix(n, "p2")+"p<q>")
+	}
 
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
