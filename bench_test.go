@@ -131,8 +131,7 @@ func point(variant core.Variant, rb rbcast.Kind, rcvCost time.Duration) bench.Ex
 		Name:       "ablation",
 		N:          3,
 		Params:     params,
-		Variant:    variant,
-		RB:         rb,
+		Stack:      core.Config{Variant: variant, RB: rb},
 		Throughput: 400,
 		Payload:    100,
 		Messages:   200,
@@ -217,7 +216,7 @@ func BenchmarkAblationMaxBatch(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e := point(core.VariantIndirectCT, rbcast.KindEager, netmodel.Setup1().RcvCheckPerID)
-			e.MaxBatch = c.cap
+			e.Stack.MaxBatch = c.cap
 			runPoint(b, e)
 		})
 	}
@@ -235,15 +234,12 @@ func BenchmarkAblationPipeline(b *testing.B) {
 					Name:       "pipeline",
 					N:          3,
 					Params:     bench.PipelineParams(),
-					Variant:    core.VariantIndirectCT,
-					RB:         rbcast.KindEager,
+					Stack:      core.Config{Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: w},
 					Throughput: 3000,
 					Payload:    1,
 					Messages:   1000,
 					Warmup:     100,
 					Seed:       int64(i + 1),
-					MaxBatch:   4,
-					Pipeline:   w,
 					MaxVirtual: time.Second,
 				}
 				r, err := bench.Run(e)

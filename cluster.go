@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"abcast/internal/adapt"
 	"abcast/internal/core"
 	"abcast/internal/evloop"
 	"abcast/internal/fd"
@@ -66,10 +65,10 @@ func (s Stack) String() string {
 	}
 }
 
-// variant maps the public stack to the engine variant.
+// variant maps the public stack to the engine variant (zero = IndirectCT).
 func (s Stack) variant() (core.Variant, error) {
 	switch s {
-	case IndirectCT:
+	case 0, IndirectCT:
 		return core.VariantIndirectCT, nil
 	case IndirectMR:
 		return core.VariantIndirectMR, nil
@@ -107,16 +106,12 @@ type Options struct {
 	Diffusion Diffusion
 	// Latency is the in-memory network's one-way latency (default 200µs).
 	Latency time.Duration
-	// Jitter adds ±jitter to each message's latency.
-	Jitter time.Duration
-	// Topology, when set, replaces the uniform Latency/Jitter with the
-	// per-directed-link latencies of a geo-replicated site layout (e.g.
-	// netmodel.WAN3Sites().Topology assigns processes round-robin to three
-	// sites joined by 40-126 ms asymmetric links). Link bandwidth is not
-	// modelled by the in-memory transport.
+	// Topology, when set, replaces the uniform Latency with the
+	// per-directed-link latencies and jitter of a geo-replicated site
+	// layout (e.g. netmodel.WAN3Sites().Topology assigns processes
+	// round-robin to three sites joined by 40-126 ms asymmetric links).
+	// Link bandwidth is not modelled by the in-memory transport.
 	Topology *netmodel.Topology
-	// Heartbeat overrides the failure-detector configuration.
-	Heartbeat *fd.Config
 	// Pipeline is the consensus pipeline width W: the number of ordering
 	// instances each process may run concurrently (default 1, the paper's
 	// serial Algorithm 1). Larger windows raise the delivered-throughput
@@ -155,7 +150,8 @@ type Options struct {
 	// traffic while streams have unacknowledged data.
 	Recovery bool
 	// Snapshot enables snapshot state transfer on top of Recovery (setting
-	// it implies Recovery): a process behind by more consensus instances
+	// it implies Recovery — the engine resolves that, see doc.go's
+	// "Configuration"): a process behind by more consensus instances
 	// than the decide-relay's bounded decision log retains — an outage
 	// deeper than retransmission can repair — is shipped the delivered
 	// prefix plus engine state (the Raft-snapshot analogue) and atomically
@@ -188,7 +184,7 @@ type Options struct {
 	// is the classic static group of all n processes; Join and Leave then
 	// return an error.
 	Membership []int
-	// Seed makes jitter and protocol tie-breaking deterministic.
+	// Seed makes topology jitter and protocol tie-breaking deterministic.
 	Seed int64
 	// OnDeliver, if set, is called for every delivery, on the delivering
 	// process's event loop (do not block in it). Deliveries are also
@@ -253,11 +249,10 @@ type Cluster struct {
 	queues  []*evloop.Queue[Delivery]
 	n       int
 
-	// Wiring inputs retained for Restart, which rebuilds a process's stack.
-	variant     core.Variant
-	rbKind      rbcast.Kind
-	hb          fd.Config
-	coreMembers []stack.ProcessID
+	// stack is the engine configuration every incarnation of every process
+	// is built from: the options' translation (Options.stackConfig) plus the
+	// shared tracer. wire completes a copy per process.
+	stack core.Config
 	// stores holds each process's checkpoint/WAL store under Options.Persist
 	// (index 0 unused, nil otherwise); Restart reopens stores[p] for the
 	// next incarnation.
@@ -282,76 +277,87 @@ type Cluster struct {
 	members  []int
 }
 
+// stackConfig translates the options into the engine configuration shared by
+// all n processes — the one place an Options field becomes a core.Config
+// field. What differs per process (detector, store, registry, delivery
+// queue, same-site repair peers) is filled in by wire.
+func (o Options) stackConfig(n int) (core.Config, error) {
+	variant, err := o.Stack.variant()
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.Config{
+		Variant:  variant,
+		RB:       rbcast.KindEager,
+		Pipeline: o.Pipeline,
+		MaxBatch: o.MaxBatch,
+		Adaptive: o.Adaptive,
+		Snapshot: o.Snapshot,
+	}
+	if o.Diffusion == DiffusionLazy {
+		cfg.RB = rbcast.KindLazy
+	}
+	if o.Recovery {
+		cfg.Recover = &core.RecoverConfig{}
+	}
+	if o.Persist != nil {
+		cfg.Persist = &core.PersistConfig{Interval: o.Persist.Interval}
+	}
+	if o.Membership != nil {
+		if len(o.Membership) == 0 {
+			return core.Config{}, fmt.Errorf("abcast: empty initial membership")
+		}
+		cfg.Members = make([]stack.ProcessID, 0, len(o.Membership))
+		for _, p := range o.Membership {
+			if p < 1 || p > n {
+				return core.Config{}, fmt.Errorf("abcast: member %d out of range 1..%d", p, n)
+			}
+			cfg.Members = append(cfg.Members, stack.ProcessID(p))
+		}
+	}
+	return cfg, nil
+}
+
 // New starts an n-process cluster.
 func New(n int, opts Options) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("abcast: need at least one process, got %d", n)
 	}
-	if opts.Stack == 0 {
-		opts.Stack = IndirectCT
-	}
-	if opts.Diffusion == 0 {
-		opts.Diffusion = DiffusionEager
-	}
 	if opts.Latency == 0 {
 		opts.Latency = 200 * time.Microsecond
 	}
-	variant, err := opts.Stack.variant()
+	cfg, err := opts.stackConfig(n)
 	if err != nil {
 		return nil, err
 	}
-	rbKind := rbcast.KindEager
-	if opts.Diffusion == DiffusionLazy {
-		rbKind = rbcast.KindLazy
+	c := &Cluster{
+		net: live.NewNetwork(n,
+			live.WithLatency(opts.Latency),
+			live.WithTopology(opts.Topology),
+			live.WithSeed(opts.Seed),
+		),
+		opts:    opts,
+		engines: make([]*core.Engine, n+1),
+		dets:    make([]*fd.Heartbeat, n+1),
+		queues:  make([]*evloop.Queue[Delivery], n+1),
+		n:       n,
+		stack:   cfg,
 	}
-	hb := fd.DefaultConfig()
-	if opts.Heartbeat != nil {
-		hb = *opts.Heartbeat
+	for i := 1; i <= n; i++ {
+		c.queues[i] = evloop.NewQueue[Delivery]()
 	}
-	var coreMembers []stack.ProcessID
-	if opts.Membership != nil {
-		if len(opts.Membership) == 0 {
-			return nil, fmt.Errorf("abcast: empty initial membership")
-		}
-		coreMembers = make([]stack.ProcessID, 0, len(opts.Membership))
-		for _, p := range opts.Membership {
-			if p < 1 || p > n {
-				return nil, fmt.Errorf("abcast: member %d out of range 1..%d", p, n)
-			}
-			coreMembers = append(coreMembers, stack.ProcessID(p))
-		}
-	}
-
-	var stores []persist.Store
+	// From here on every error path goes through Close, which releases
+	// whatever was opened so far (loops, stores, exporter).
 	if opts.Persist != nil {
-		stores = make([]persist.Store, n+1)
+		c.stores = make([]persist.Store, n+1)
 		for i := 1; i <= n; i++ {
 			s, err := openStore(opts.Persist, i)
 			if err != nil {
+				c.Close()
 				return nil, err
 			}
-			stores[i] = s
+			c.stores[i] = s
 		}
-	}
-
-	net := live.NewNetwork(n,
-		live.WithLatency(opts.Latency),
-		live.WithJitter(opts.Jitter),
-		live.WithTopology(opts.Topology),
-		live.WithSeed(opts.Seed),
-	)
-	c := &Cluster{
-		net:         net,
-		opts:        opts,
-		engines:     make([]*core.Engine, n+1),
-		dets:        make([]*fd.Heartbeat, n+1),
-		queues:      make([]*evloop.Queue[Delivery], n+1),
-		n:           n,
-		variant:     variant,
-		rbKind:      rbKind,
-		hb:          hb,
-		coreMembers: coreMembers,
-		stores:      stores,
 	}
 	if opts.Membership != nil {
 		c.members = append([]int(nil), opts.Membership...)
@@ -359,6 +365,7 @@ func New(n int, opts Options) (*Cluster, error) {
 	}
 	if opts.Trace {
 		c.tracer = trace.New()
+		c.stack.Trace = c.tracer
 	}
 	if opts.Metrics || opts.MetricsAddr != "" {
 		c.regs = make([]*metrics.Registry, n+1)
@@ -370,13 +377,12 @@ func New(n int, opts Options) (*Cluster, error) {
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
 		i := i
-		c.queues[i] = evloop.NewQueue[Delivery]()
 		wg.Add(1)
 		// Wire each process's layers on its own event loop so no
 		// protocol event can precede complete wiring.
-		net.Do(stack.ProcessID(i), func() {
+		c.net.Do(stack.ProcessID(i), func() {
 			defer wg.Done()
-			if err := c.wire(i, net.Node(stack.ProcessID(i))); err != nil {
+			if err := c.wire(i, c.net.Node(stack.ProcessID(i))); err != nil {
 				errs <- err
 			}
 		})
@@ -384,7 +390,7 @@ func New(n int, opts Options) (*Cluster, error) {
 	wg.Wait()
 	select {
 	case err := <-errs:
-		net.Close()
+		c.Close()
 		return nil, err
 	default:
 	}
@@ -395,7 +401,7 @@ func New(n int, opts Options) (*Cluster, error) {
 		}
 		srv, err := metrics.Serve(opts.MetricsAddr, named)
 		if err != nil {
-			net.Close()
+			c.Close()
 			return nil, err
 		}
 		c.msrv = srv
@@ -414,7 +420,7 @@ func (c *Cluster) reg(i int) *metrics.Registry {
 
 // sameSitePeers returns p's co-located peers under the topology (nil for a
 // uniform network or a process alone at its site) — the Cluster's choice of
-// core.RecoverConfig.PreferPeers.
+// core.Config.PreferPeers.
 func sameSitePeers(t *netmodel.Topology, p stack.ProcessID, n int) []stack.ProcessID {
 	if t == nil {
 		return nil
@@ -441,49 +447,33 @@ func openStore(po *PersistOptions, p int) (persist.Store, error) {
 // when persistence is on. Runs on i's event loop — at startup via New's
 // wiring closures, and again from Restart.
 func (c *Cluster) wire(i int, node *stack.Node) error {
-	hb := c.hb
+	hb := fd.DefaultConfig()
 	hb.Metrics = c.reg(i)
 	c.dets[i] = fd.NewHeartbeat(node, hb)
-	var rcfg *core.RecoverConfig
-	if c.opts.Recovery || c.opts.Snapshot || c.opts.Persist != nil {
-		rcfg = &core.RecoverConfig{Snapshot: c.opts.Snapshot}
-		// Prefer same-site peers for the rotating repair paths, keeping
-		// fetch/sync traffic off the expensive inter-site links whenever a
-		// local peer can serve it.
-		rcfg.PreferPeers = sameSitePeers(c.opts.Topology, stack.ProcessID(i), c.n)
+	cfg := c.stack
+	cfg.Detector = c.dets[i]
+	cfg.Metrics = c.reg(i)
+	// Prefer same-site peers for the rotating repair paths, keeping
+	// fetch/sync traffic off the expensive inter-site links whenever a
+	// local peer can serve it.
+	cfg.PreferPeers = sameSitePeers(c.opts.Topology, stack.ProcessID(i), c.n)
+	if cfg.Persist != nil {
+		pc := *cfg.Persist
+		pc.Store = c.stores[i]
+		cfg.Persist = &pc
 	}
-	var pcfg *core.PersistConfig
-	if c.opts.Persist != nil {
-		pcfg = &core.PersistConfig{Store: c.stores[i], Interval: c.opts.Persist.Interval}
+	cfg.Deliver = func(app *msg.App) {
+		d := Delivery{
+			Sender:  int(app.ID.Sender),
+			Seq:     app.ID.Seq,
+			Payload: app.Payload,
+		}
+		c.queues[i].Put(d)
+		if c.opts.OnDeliver != nil {
+			c.opts.OnDeliver(i, d)
+		}
 	}
-	var acfg *adapt.Config
-	if c.opts.Adaptive {
-		acfg = &adapt.Config{}
-	}
-	eng, err := core.New(node, core.Config{
-		Variant:  c.variant,
-		RB:       c.rbKind,
-		Detector: c.dets[i],
-		Pipeline: c.opts.Pipeline,
-		MaxBatch: c.opts.MaxBatch,
-		Adapt:    acfg,
-		Recover:  rcfg,
-		Persist:  pcfg,
-		Members:  c.coreMembers,
-		Trace:    c.tracer,
-		Metrics:  c.reg(i),
-		Deliver: func(app *msg.App) {
-			d := Delivery{
-				Sender:  int(app.ID.Sender),
-				Seq:     app.ID.Seq,
-				Payload: app.Payload,
-			}
-			c.queues[i].Put(d)
-			if c.opts.OnDeliver != nil {
-				c.opts.OnDeliver(i, d)
-			}
-		},
-	})
+	eng, err := core.New(node, cfg)
 	if err != nil {
 		return err
 	}
@@ -704,10 +694,10 @@ func (c *Cluster) TraceEvents() []trace.Event {
 	return c.tracer.Events()
 }
 
-// MetricsSnapshot returns process p's metric catalog as name → value
-// (histograms expand to .count/.sum/bucket cells). Requires
-// Options.Metrics (or MetricsAddr). Safe while the cluster runs — cells
-// are atomics — though a snapshot taken mid-run is not a consistent cut.
+// MetricsSnapshot returns process p's metric catalog as name → value.
+// Requires Options.Metrics (or MetricsAddr). Safe while the cluster runs —
+// cells are atomics — though a snapshot taken mid-run is not a consistent
+// cut.
 func (c *Cluster) MetricsSnapshot(p int) (map[string]int64, error) {
 	if c.regs == nil {
 		return nil, fmt.Errorf("abcast: metrics not enabled (Options.Metrics)")
@@ -763,11 +753,24 @@ func (c *Cluster) Restart(p int) error {
 	if err != nil {
 		return err
 	}
+	old := c.stores[p]
 	c.stores[p] = store
 	node := c.net.Restart(stack.ProcessID(p))
 	errs := make(chan error, 1)
 	c.net.Do(stack.ProcessID(p), func() { errs <- c.wire(p, node) })
-	return <-errs
+	err = <-errs
+	// The wiring closure ran on p's loop after everything the dead
+	// incarnation ever ran there, so its handle has no user left; exactly one
+	// of the two handles survives this call.
+	unused := old
+	if err != nil {
+		c.net.Crash(stack.ProcessID(p)) // no stack was wired: p stays down, Restart can be retried
+		c.stores[p], unused = old, store
+	}
+	if unused != c.stores[p] { // a MemStore is handed over, not reopened
+		unused.Close()
+	}
+	return err
 }
 
 // reopenStore hands process p's store to its next incarnation: the same
@@ -794,10 +797,11 @@ func (c *Cluster) Close() {
 	for _, q := range c.queues[1:] {
 		q.Close()
 	}
-	if c.stores != nil {
-		// Safe once the event loops have exited: the stores' single owners
-		// (the engines) can no longer touch them.
-		for _, s := range c.stores[1:] {
+	// Safe once the event loops have exited: the stores' single owners (the
+	// engines) can no longer touch them. A New that failed half-way leaves
+	// the tail nil.
+	for _, s := range c.stores {
+		if s != nil {
 			s.Close()
 		}
 	}

@@ -2,6 +2,9 @@ package abcast
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -28,34 +31,42 @@ func collect(t *testing.T, c *Cluster, p, count int) []Delivery {
 }
 
 func TestClusterTotalOrderLive(t *testing.T) {
+	diffusions := []struct {
+		name string
+		d    Diffusion
+	}{{"eager", DiffusionEager}, {"lazy", DiffusionLazy}}
 	for _, s := range stacks() {
 		t.Run(s.String(), func(t *testing.T) {
-			c, err := New(3, Options{Stack: s, Latency: 100 * time.Microsecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			const perProc = 5
-			for p := 1; p <= 3; p++ {
-				for i := 0; i < perProc; i++ {
-					if err := c.Broadcast(p, []byte(fmt.Sprintf("m%d-%d", p, i))); err != nil {
+			for _, df := range diffusions {
+				t.Run(df.name, func(t *testing.T) {
+					c, err := New(3, Options{Stack: s, Diffusion: df.d, Latency: 100 * time.Microsecond})
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-			}
-			total := 3 * perProc
-			seqs := make([][]Delivery, 4)
-			for p := 1; p <= 3; p++ {
-				seqs[p] = collect(t, c, p, total)
-			}
-			for p := 2; p <= 3; p++ {
-				for i := range seqs[1] {
-					a, b := seqs[1][i], seqs[p][i]
-					if a.Sender != b.Sender || a.Seq != b.Seq {
-						t.Fatalf("order diverges at %d: p1=%v:%d p%d=%v:%d",
-							i, a.Sender, a.Seq, p, b.Sender, b.Seq)
+					defer c.Close()
+					const perProc = 5
+					for p := 1; p <= 3; p++ {
+						for i := 0; i < perProc; i++ {
+							if err := c.Broadcast(p, []byte(fmt.Sprintf("m%d-%d", p, i))); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-				}
+					total := 3 * perProc
+					seqs := make([][]Delivery, 4)
+					for p := 1; p <= 3; p++ {
+						seqs[p] = collect(t, c, p, total)
+					}
+					for p := 2; p <= 3; p++ {
+						for i := range seqs[1] {
+							a, b := seqs[1][i], seqs[p][i]
+							if a.Sender != b.Sender || a.Seq != b.Seq {
+								t.Fatalf("order diverges at %d: p1=%v:%d p%d=%v:%d",
+									i, a.Sender, a.Seq, p, b.Sender, b.Seq)
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -552,6 +563,74 @@ func TestClusterRestartFile(t *testing.T) {
 
 // TestClusterRestartValidation: Restart requires Options.Persist, an
 // in-range process, and a crashed target.
+// openFiles counts this process's open file descriptors. Callers hold the
+// collector off while they compare counts: a finalizer closing an
+// unreachable *os.File would hide exactly the leak they look for.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
+}
+
+// TestClusterRestartClosesStoreHandles: every Restart opens a fresh FileStore
+// handle for the new incarnation, so it must close the one it replaces — and
+// the new one when the incarnation cannot be wired.
+func TestClusterRestartClosesStoreHandles(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dir := t.TempDir()
+	openFiles(t) // the first os.Open starts the runtime poller, which holds descriptors of its own
+	closed := openFiles(t)
+	c, err := New(3, Options{Persist: &PersistOptions{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := openFiles(t)
+	for i := 0; i < 20; i++ {
+		c.Crash(2)
+		if err := c.Restart(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := openFiles(t); got != running {
+		t.Fatalf("20 restarts took the open files from %d to %d", running, got)
+	}
+	c.Crash(2)
+	if err := os.WriteFile(filepath.Join(dir, "p2", "checkpoint.bin"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(2); err == nil {
+		t.Fatal("Restart from an undecodable checkpoint succeeded")
+	}
+	if got := openFiles(t); got != running {
+		t.Fatalf("a failed restart took the open files from %d to %d", running, got)
+	}
+	c.Close()
+	if got := openFiles(t); got != closed {
+		t.Fatalf("Close left %d files open, want %d", got, closed)
+	}
+}
+
+// TestClusterNewFailureClosesStores: a New that fails part-way (p2's store
+// directory cannot be created) closes the stores it had already opened.
+func TestClusterNewFailureClosesStores(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openFiles(t)
+	before := openFiles(t)
+	if _, err := New(3, Options{Persist: &PersistOptions{Dir: dir}}); err == nil {
+		t.Fatal("New succeeded with p2's store path occupied by a file")
+	}
+	if got := openFiles(t); got != before {
+		t.Fatalf("failed New took the open files from %d to %d", before, got)
+	}
+}
+
 func TestClusterRestartValidation(t *testing.T) {
 	c, err := New(2, Options{})
 	if err != nil {

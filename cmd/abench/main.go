@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"abcast/internal/bench"
+	"abcast/internal/core"
 )
 
 func main() {
@@ -194,14 +195,18 @@ func buildOverride(topo, partition string, recovery, snapshot, adaptive, traced 
 	if traced {
 		steps = append(steps, func(e *bench.Experiment) { e.Trace = true })
 	}
-	if recovery || snapshot {
+	if recovery {
 		steps = append(steps, func(e *bench.Experiment) {
-			e.Recovery = true
-			e.Snapshot = e.Snapshot || snapshot
+			if e.Stack.Recover == nil { // keep a figure's own recovery tuning
+				e.Stack.Recover = &core.RecoverConfig{}
+			}
 		})
 	}
+	if snapshot {
+		steps = append(steps, func(e *bench.Experiment) { e.Stack.Snapshot = true })
+	}
 	if adaptive {
-		steps = append(steps, func(e *bench.Experiment) { e.Adaptive = true })
+		steps = append(steps, func(e *bench.Experiment) { e.Stack.Adaptive = true })
 	}
 	if topo != "" {
 		params, err := bench.NamedParams(topo)

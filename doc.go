@@ -83,7 +83,7 @@
 // consensus instances than the log retains (DecisionLogCap) falls off that
 // horizon — the decisions it needs first are evicted everywhere, so no
 // replay can catch it up. Options.Snapshot (engine side:
-// core.RecoverConfig.Snapshot; implies Recovery) adds the Raft-snapshot
+// core.Config.Snapshot; implies Recovery) adds the Raft-snapshot
 // analogue: the deep-lagged peer is shipped the delivered prefix plus
 // engine state in bounded chunked rounds, atomically advanced past the gap,
 // and the relay/fetch paths finish the tail — so the broadcast contract
@@ -118,7 +118,7 @@
 // Every performance knob above is a static number, and the right value is
 // workload- and topology-dependent: the pipeline ablations show the best W
 // differs between a metro network and the WAN. Options.Adaptive (engine
-// side: core.Config.Adapt) replaces the hand-tuning with feedback: each
+// side: core.Config.Adaptive) replaces the hand-tuning with feedback: each
 // process samples its own signals — unordered backlog, delivered rate,
 // smoothed propose→decide latency, per-link round-trip estimates from the
 // relink probe/ack exchanges — on a control tick and retargets its pipeline
@@ -134,6 +134,20 @@
 // offered load on the metro and WAN topologies and shows the controller
 // matching the best hand-picked static W on both without retuning;
 // `abench -adaptive` imposes the controller on any figure.
+//
+// # Configuration
+//
+// Options is the whole public configuration surface, and every field of it
+// is set by some test, example or benchmark workload (CI checks). It is
+// translated once per New into the engine's core.Config, the single
+// description of a stack that the simulator harness and the benchmarks use
+// directly. The repair features imply each other — Persist ⇒ Snapshot ⇒
+// Recovery — and the engine resolves that in one place when it is built
+// (core.New); set only the feature you want. Protocol timing that no caller
+// ever needed to change (fetch and relay delays, snapshot chunking, the
+// controller's bounds, the failure detector's timeouts, the membership
+// switch lag) is fixed; docs/OPERATIONS.md "Fixed constants" lists the
+// values.
 //
 // The tuning-knob matrix (defaults in parentheses; each knob also exists on
 // core.Config for engine-level embedding):
@@ -172,7 +186,8 @@
 // runtime. A membership change is not a side channel — it is atomically
 // broadcast like any payload and takes a position in the total order, so
 // every process observes it at the same delivery point. That point defines
-// the switch: consensus instances at or above deliverySerial+ConfigLag run
+// the switch: consensus instances at or above deliverySerial+ConfigLag (a
+// constant, 32) run
 // under the new member set (quorum thresholds, coordinator rotation,
 // per-instance fan-out), everything below drains under the old one, and the
 // transport-level view (payload diffusion, heartbeat monitoring, relink

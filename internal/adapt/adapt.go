@@ -41,7 +41,7 @@
 // The controller is a pure state machine: Tick consumes one Sample and
 // returns the Targets to apply, with no timers, I/O, or randomness of its
 // own. The engine (internal/core) owns the sampling cadence and the
-// actuators; see core.Config.Adapt for the wiring and docs/ARCHITECTURE.md
+// actuators; see core.Config.Adaptive for the wiring and docs/ARCHITECTURE.md
 // for the signals → controller → actuators map. Determinism matters beyond
 // taste: the benchmark trajectory (BENCH_<rev>.json) and the CI determinism
 // gate require byte-identical reruns, with adaptation on as much as off.
@@ -49,101 +49,42 @@ package adapt
 
 import "time"
 
-// Config parameterizes a Controller. The zero value selects the defaults.
-type Config struct {
-	// Interval is the control-loop cadence: how often the engine samples
-	// its signals and applies the returned targets (default
-	// DefaultInterval). Shorter intervals ramp the pipeline faster under a
-	// burst at the cost of more (purely local) control work.
-	Interval time.Duration
-	// MinWindow/MaxWindow clamp the pipeline width the controller may
-	// target (defaults 1 and DefaultMaxWindow).
-	MinWindow int
-	MaxWindow int
-	// MinBatch/MaxBatchCap clamp the per-instance identifier batch cap
-	// (defaults DefaultMinBatch and DefaultMaxBatchCap). An engine whose
-	// static MaxBatch is 0 (unbounded) starts adaptive runs at MinBatch:
-	// unbounded batching absorbs any backlog into ever-larger proposals,
-	// which hides exactly the signal the window controller steers by.
-	MinBatch    int
-	MaxBatchCap int
-	// Epsilon is the relative delivered-throughput gain below which a
-	// window grow step counts as "added nothing" and is reverted (default
-	// DefaultEpsilon).
-	Epsilon float64
-	// LatencyFactor bounds how far the smoothed propose→decide latency may
-	// rise above its best observed value before the controller stops
-	// growing the window — decisions no longer keep pace, so more
-	// concurrent instances would only queue (default DefaultLatencyFactor).
-	LatencyFactor float64
-	// RTTMultiple scales the slowest link's smoothed round-trip estimate
-	// into the anti-entropy cadence target (default DefaultRTTMultiple).
-	RTTMultiple float64
-	// MinInterval/MaxInterval clamp the anti-entropy cadence target
-	// (defaults DefaultMinInterval and DefaultMaxInterval).
-	MinInterval time.Duration
-	MaxInterval time.Duration
-}
-
-// Defaults for the zero Config.
+// The controller's tuning is fixed: every figure, test and workload has only
+// ever run these values, so they are constants rather than knobs.
 const (
-	DefaultInterval      = 25 * time.Millisecond
-	DefaultMaxWindow     = 8
-	DefaultMinBatch      = 4
-	DefaultMaxBatchCap   = 64
-	DefaultEpsilon       = 0.05
-	DefaultLatencyFactor = 4.0
-	DefaultRTTMultiple   = 2.0
-	DefaultMinInterval   = 5 * time.Millisecond
-	DefaultMaxInterval   = time.Second
+	// Interval is the control-loop cadence: how often the engine samples its
+	// signals and applies the returned targets. Shorter intervals ramp the
+	// pipeline faster under a burst at the cost of more (purely local)
+	// control work.
+	Interval = 25 * time.Millisecond
+	// MinWindow/MaxWindow clamp the pipeline width the controller may
+	// target. core.ConfigLag must exceed MaxWindow.
+	MinWindow = 1
+	MaxWindow = 8
+	// MinBatch/MaxBatchCap clamp the per-instance identifier batch cap. An
+	// engine whose static MaxBatch is 0 (unbounded) starts adaptive runs at
+	// MinBatch: unbounded batching absorbs any backlog into ever-larger
+	// proposals, which hides exactly the signal the window controller steers
+	// by.
+	MinBatch    = 4
+	MaxBatchCap = 64
+	// Epsilon is the relative delivered-throughput gain below which a window
+	// grow step counts as "added nothing" and is reverted.
+	Epsilon = 0.05
+	// LatencyFactor bounds how far the smoothed propose→decide latency may
+	// rise above its best observed value before the controller stops growing
+	// the window — decisions no longer keep pace, so more concurrent
+	// instances would only queue.
+	LatencyFactor = 4.0
+	// RTTMultiple scales the slowest link's smoothed round-trip estimate into
+	// the anti-entropy cadence target, clamped to [MinInterval, MaxInterval].
+	RTTMultiple = 2.0
+	MinInterval = 5 * time.Millisecond
+	MaxInterval = time.Second
 	// growHold is how many control ticks window growth pauses after a
 	// reverted grow step, damping grow/revert oscillation around the knee.
 	growHold = 4
 )
-
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 1
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = DefaultMaxWindow
-	}
-	if c.MaxWindow < c.MinWindow {
-		c.MaxWindow = c.MinWindow
-	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = DefaultMinBatch
-	}
-	if c.MaxBatchCap <= 0 {
-		c.MaxBatchCap = DefaultMaxBatchCap
-	}
-	if c.MaxBatchCap < c.MinBatch {
-		c.MaxBatchCap = c.MinBatch
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = DefaultEpsilon
-	}
-	if c.LatencyFactor <= 0 {
-		c.LatencyFactor = DefaultLatencyFactor
-	}
-	if c.RTTMultiple <= 0 {
-		c.RTTMultiple = DefaultRTTMultiple
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = DefaultMinInterval
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = DefaultMaxInterval
-	}
-	if c.MaxInterval < c.MinInterval {
-		c.MaxInterval = c.MinInterval
-	}
-	return c
-}
 
 // Sample is one observation of the engine's signals, taken at a control
 // tick. The engine builds it from core.Engine.Observe plus the relink RTT
@@ -183,8 +124,6 @@ type Targets struct {
 // Controller is the feedback state machine. It is not safe for concurrent
 // use; like every protocol layer it lives on one process's event loop.
 type Controller struct {
-	cfg Config
-
 	last          time.Time
 	lastDelivered int
 	lastBacklog   int
@@ -194,22 +133,17 @@ type Controller struct {
 	hold          int
 }
 
-// NewController builds a controller; zero Config fields take defaults.
-func NewController(cfg Config) *Controller {
-	return &Controller{cfg: cfg.WithDefaults()}
-}
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
+// NewController builds a controller.
+func NewController() *Controller { return &Controller{} }
 
 // Tick consumes one sample and returns the targets to apply. The first
 // sample only establishes the baseline; thereafter each tick runs one step
 // of the window AIMD, the batch escalation, and the cadence tracking
 // described in the package comment.
 func (c *Controller) Tick(s Sample) Targets {
-	t := Targets{Window: clamp(s.Window, c.cfg.MinWindow, c.cfg.MaxWindow), MaxBatch: clamp(s.MaxBatch, c.cfg.MinBatch, c.cfg.MaxBatchCap)}
+	t := Targets{Window: clamp(s.Window, MinWindow, MaxWindow), MaxBatch: clamp(s.MaxBatch, MinBatch, MaxBatchCap)}
 	if s.LinkRTTMax > 0 {
-		t.AntiEntropy = clampDur(time.Duration(c.cfg.RTTMultiple*float64(s.LinkRTTMax)), c.cfg.MinInterval, c.cfg.MaxInterval)
+		t.AntiEntropy = clampDur(time.Duration(RTTMultiple*float64(s.LinkRTTMax)), MinInterval, MaxInterval)
 	}
 	if s.DecisionLatency > 0 && (c.minDecLat == 0 || s.DecisionLatency < c.minDecLat) {
 		c.minDecLat = s.DecisionLatency
@@ -230,31 +164,31 @@ func (c *Controller) Tick(s Sample) Targets {
 	// consensus layer (or the CPU under it) is saturated, and more
 	// concurrent instances would only deepen the queues.
 	pace := s.DecisionLatency == 0 || c.minDecLat == 0 ||
-		s.DecisionLatency <= time.Duration(c.cfg.LatencyFactor*float64(c.minDecLat))
+		s.DecisionLatency <= time.Duration(LatencyFactor*float64(c.minDecLat))
 	grew := c.prevWindow > 0 && s.Window > c.prevWindow
 	switch {
-	case grew && rate <= c.lastRate*(1+c.cfg.Epsilon) && s.Backlog >= c.lastBacklog:
+	case grew && rate <= c.lastRate*(1+Epsilon) && s.Backlog >= c.lastBacklog:
 		// The previous grow step added no delivered throughput and the
 		// backlog is not draining: revert it and pause growth.
-		t.Window = clamp(s.Window-1, c.cfg.MinWindow, c.cfg.MaxWindow)
+		t.Window = clamp(s.Window-1, MinWindow, MaxWindow)
 		c.hold = growHold
-	case s.Backlog > s.Window*t.MaxBatch && s.Window < c.cfg.MaxWindow && pace && c.hold == 0:
+	case s.Backlog > s.Window*t.MaxBatch && s.Window < MaxWindow && pace && c.hold == 0:
 		// More than one full pipeline round is queued and decisions keep
 		// pace: additive increase.
 		t.Window = s.Window + 1
-	case s.Backlog <= t.MaxBatch && s.InFlight <= 1 && s.Window > c.cfg.MinWindow:
+	case s.Backlog <= t.MaxBatch && s.InFlight <= 1 && s.Window > MinWindow:
 		// The burst is over (one batch covers the backlog, the pipeline
 		// idles): decay multiplicatively back toward serial operation.
-		t.Window = s.Window - (s.Window-c.cfg.MinWindow+1)/2
+		t.Window = s.Window - (s.Window-MinWindow+1)/2
 	}
 
 	// Batch escalation: only once the window is exhausted does per-instance
 	// work grow, and it shrinks back as soon as the backlog fits one batch.
 	switch {
-	case t.Window >= c.cfg.MaxWindow && s.Backlog > t.Window*t.MaxBatch && t.MaxBatch < c.cfg.MaxBatchCap:
-		t.MaxBatch = clamp(t.MaxBatch*2, c.cfg.MinBatch, c.cfg.MaxBatchCap)
-	case s.Backlog <= t.MaxBatch/2 && t.MaxBatch > c.cfg.MinBatch:
-		t.MaxBatch = clamp(t.MaxBatch/2, c.cfg.MinBatch, c.cfg.MaxBatchCap)
+	case t.Window >= MaxWindow && s.Backlog > t.Window*t.MaxBatch && t.MaxBatch < MaxBatchCap:
+		t.MaxBatch = clamp(t.MaxBatch*2, MinBatch, MaxBatchCap)
+	case s.Backlog <= t.MaxBatch/2 && t.MaxBatch > MinBatch:
+		t.MaxBatch = clamp(t.MaxBatch/2, MinBatch, MaxBatchCap)
 	}
 
 	c.remember(s, rate)

@@ -11,33 +11,14 @@ import (
 
 // at builds the observation instant of tick i at the default cadence.
 func at(i int) time.Time {
-	return time.Unix(0, 0).Add(time.Duration(i) * DefaultInterval)
-}
-
-// TestDefaultsFilled: the zero config defaults every knob, and bounds stay
-// ordered.
-func TestDefaultsFilled(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.Interval != DefaultInterval || c.MinWindow != 1 || c.MaxWindow != DefaultMaxWindow {
-		t.Fatalf("window defaults wrong: %+v", c)
-	}
-	if c.MinBatch != DefaultMinBatch || c.MaxBatchCap != DefaultMaxBatchCap {
-		t.Fatalf("batch defaults wrong: %+v", c)
-	}
-	if c.MinInterval != DefaultMinInterval || c.MaxInterval != DefaultMaxInterval {
-		t.Fatalf("cadence defaults wrong: %+v", c)
-	}
-	c = Config{MinWindow: 6, MaxWindow: 2}.WithDefaults()
-	if c.MaxWindow < c.MinWindow {
-		t.Fatalf("bounds not reconciled: %+v", c)
-	}
+	return time.Unix(0, 0).Add(time.Duration(i) * Interval)
 }
 
 // TestGrowsUnderBacklog: a backlog beyond one pipeline round with decisions
 // keeping pace grows the window by one per tick up to the maximum, and no
 // further.
 func TestGrowsUnderBacklog(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	w, batch := 1, 4
 	delivered := 0
 	for i := 0; i < 20; i++ {
@@ -53,7 +34,7 @@ func TestGrowsUnderBacklog(t *testing.T) {
 		w, batch = tg.Window, tg.MaxBatch
 		delivered += w * batch
 	}
-	if w != DefaultMaxWindow {
+	if w != MaxWindow {
 		t.Fatalf("window did not reach the maximum: %d", w)
 	}
 }
@@ -61,7 +42,7 @@ func TestGrowsUnderBacklog(t *testing.T) {
 // TestRevertsFruitlessGrowth: when a grow step adds no delivered throughput
 // and the backlog is not draining, the step is reverted and growth pauses.
 func TestRevertsFruitlessGrowth(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	// Baseline, then a tick that grows 1 -> 2 (delivery at a fixed rate).
 	c.Tick(Sample{Now: at(0), Backlog: 100, Delivered: 0, Window: 1, MaxBatch: 4})
 	tg := c.Tick(Sample{Now: at(1), Backlog: 100, Delivered: 10, Window: 1, MaxBatch: 4})
@@ -84,7 +65,7 @@ func TestRevertsFruitlessGrowth(t *testing.T) {
 // TestDecaysWhenDrained: once the backlog fits a single batch and the
 // pipeline idles, the window decays back toward serial.
 func TestDecaysWhenDrained(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	c.Tick(Sample{Now: at(0), Backlog: 0, Delivered: 100, Window: 8, MaxBatch: 4})
 	w := 8
 	for i := 1; w > 1 && i < 10; i++ {
@@ -103,14 +84,14 @@ func TestDecaysWhenDrained(t *testing.T) {
 // best observed value blocks additive increase — decisions are not keeping
 // pace, so more instances would only queue.
 func TestLatencyGuardStopsGrowth(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	base := Sample{Backlog: 100, Window: 2, MaxBatch: 4, DecisionLatency: 10 * time.Millisecond}
 	base.Now = at(0)
 	c.Tick(base)
 	blown := base
 	blown.Now = at(1)
 	blown.Delivered = 50 // rate fine; only latency objects
-	blown.DecisionLatency = 10 * DefaultLatencyFactor * 10 * time.Millisecond
+	blown.DecisionLatency = 10 * LatencyFactor * 10 * time.Millisecond
 	if tg := c.Tick(blown); tg.Window != 2 {
 		t.Fatalf("grew despite blown decision latency: W=%d", tg.Window)
 	}
@@ -120,21 +101,21 @@ func TestLatencyGuardStopsGrowth(t *testing.T) {
 // window is pinned at its maximum with the backlog still beyond a full
 // round, and halves back once the backlog fits one batch.
 func TestBatchEscalatesOnlyAtMaxWindow(t *testing.T) {
-	c := NewController(Config{})
-	c.Tick(Sample{Now: at(0), Backlog: 1000, Delivered: 0, Window: DefaultMaxWindow, MaxBatch: 4})
-	tg := c.Tick(Sample{Now: at(1), Backlog: 1000, Delivered: 100, Window: DefaultMaxWindow, MaxBatch: 4})
+	c := NewController()
+	c.Tick(Sample{Now: at(0), Backlog: 1000, Delivered: 0, Window: MaxWindow, MaxBatch: 4})
+	tg := c.Tick(Sample{Now: at(1), Backlog: 1000, Delivered: 100, Window: MaxWindow, MaxBatch: 4})
 	if tg.MaxBatch != 8 {
 		t.Fatalf("batch did not escalate at max window: %d", tg.MaxBatch)
 	}
 	// Below max window the same backlog grows W instead.
-	c2 := NewController(Config{})
+	c2 := NewController()
 	c2.Tick(Sample{Now: at(0), Backlog: 1000, Delivered: 0, Window: 2, MaxBatch: 4})
 	tg = c2.Tick(Sample{Now: at(1), Backlog: 1000, Delivered: 100, Window: 2, MaxBatch: 4})
 	if tg.MaxBatch != 4 || tg.Window != 3 {
 		t.Fatalf("batch escalated before the window was exhausted: W=%d batch=%d", tg.Window, tg.MaxBatch)
 	}
 	// Drained: the batch halves back toward the minimum.
-	c3 := NewController(Config{})
+	c3 := NewController()
 	c3.Tick(Sample{Now: at(0), Backlog: 0, Delivered: 0, Window: 1, MaxBatch: 16})
 	tg = c3.Tick(Sample{Now: at(1), Backlog: 0, Delivered: 10, Window: 1, MaxBatch: 16})
 	if tg.MaxBatch != 8 {
@@ -145,20 +126,20 @@ func TestBatchEscalatesOnlyAtMaxWindow(t *testing.T) {
 // TestAntiEntropyTracksRTT: the cadence target is RTTMultiple × the slowest
 // link's estimate, clamped — and absent entirely while no RTT is measured.
 func TestAntiEntropyTracksRTT(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	if tg := c.Tick(Sample{Now: at(0), Window: 1, MaxBatch: 4}); tg.AntiEntropy != 0 {
 		t.Fatalf("cadence target without an RTT estimate: %v", tg.AntiEntropy)
 	}
 	tg := c.Tick(Sample{Now: at(1), Window: 1, MaxBatch: 4, LinkRTTMax: 100 * time.Millisecond})
-	if want := time.Duration(DefaultRTTMultiple * float64(100*time.Millisecond)); tg.AntiEntropy != want {
+	if want := time.Duration(RTTMultiple * float64(100*time.Millisecond)); tg.AntiEntropy != want {
 		t.Fatalf("cadence = %v, want %v", tg.AntiEntropy, want)
 	}
 	tg = c.Tick(Sample{Now: at(2), Window: 1, MaxBatch: 4, LinkRTTMax: time.Microsecond})
-	if tg.AntiEntropy != DefaultMinInterval {
+	if tg.AntiEntropy != MinInterval {
 		t.Fatalf("cadence not clamped below: %v", tg.AntiEntropy)
 	}
 	tg = c.Tick(Sample{Now: at(3), Window: 1, MaxBatch: 4, LinkRTTMax: time.Hour})
-	if tg.AntiEntropy != DefaultMaxInterval {
+	if tg.AntiEntropy != MaxInterval {
 		t.Fatalf("cadence not clamped above: %v", tg.AntiEntropy)
 	}
 }
@@ -167,7 +148,7 @@ func TestAntiEntropyTracksRTT(t *testing.T) {
 // sequence — the property the CI bench-determinism gate rides on.
 func TestDeterministic(t *testing.T) {
 	run := func() []Targets {
-		c := NewController(Config{})
+		c := NewController()
 		var out []Targets
 		w, batch, delivered := 1, 4, 0
 		for i := 0; i < 30; i++ {

@@ -15,14 +15,11 @@ import (
 	"sort"
 	"time"
 
-	"abcast/internal/adapt"
 	"abcast/internal/core"
 	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/persist"
-	"abcast/internal/rbcast"
-	"abcast/internal/relink"
 	"abcast/internal/sim"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
@@ -32,11 +29,23 @@ import (
 
 // Experiment is one benchmark configuration point.
 type Experiment struct {
-	Name    string
-	N       int             // number of processes
-	Params  netmodel.Params // network/CPU cost model (Setup 1 or Setup 2)
-	Variant core.Variant    // atomic broadcast stack
-	RB      rbcast.Kind     // diffusion broadcast for id-based variants
+	Name   string
+	N      int             // number of processes
+	Params netmodel.Params // network/CPU cost model (Setup 1 or Setup 2)
+
+	// Stack is the template every process's engine is built from: ordering
+	// variant and diffusion, MaxBatch and Pipeline, Adaptive, the repair
+	// features (Recover, Snapshot, Persist) and dynamic membership (Members)
+	// are set here, exactly as core.Config defines them. Run completes a
+	// copy per process — Detector, Deliver, Trace, RcvCheckCost (from
+	// Params) and, when Persist is set, that process's own in-memory Store —
+	// so those are left nil/zero in the template.
+	//
+	// With Stack.Members set, the workload comes from the stable members
+	// only (initial members that no churn event removes), and full delivery
+	// is measured at the members of the final view — the processes the run's
+	// guarantees are about.
+	Stack core.Config
 
 	Throughput float64 // abroadcasts per second, summed over all processes
 	Payload    int     // payload bytes per message
@@ -56,22 +65,6 @@ type Experiment struct {
 	Warmup   int   // messages excluded from statistics
 	Seed     int64 // deterministic workload seed
 
-	// MaxBatch caps identifiers per consensus instance (0 = unlimited);
-	// see core.Config.MaxBatch.
-	MaxBatch int
-
-	// Pipeline is the consensus pipeline width W (0 or 1 = the paper's
-	// serial Algorithm 1); see core.Config.Pipeline.
-	Pipeline int
-
-	// Adaptive enables the feedback control plane on every process
-	// (core.Config.Adapt with defaults): pipeline width and MaxBatch are
-	// retargeted from the observed backlog, and — with Recovery on — the
-	// anti-entropy cadence from measured per-link RTTs. Pipeline/MaxBatch
-	// become initial values. Off by default, so every static figure
-	// measures the hand-tuned stack.
-	Adaptive bool
-
 	// PartitionFrom/PartitionUntil, when 0 < PartitionFrom <
 	// PartitionUntil, inject a partition episode: at virtual instant
 	// PartitionFrom the processes of PartitionMinority are cut off from the
@@ -85,40 +78,12 @@ type Experiment struct {
 	PartitionMinority []int
 	PartitionDrop     bool
 
-	// Recovery enables the drop-partition recovery subsystem on every
-	// process (core.RecoverConfig: relink retransmission + anti-entropy,
-	// consensus decide-relay, payload fetch). Off by default, so the
-	// paper's figures measure the unmodified stack.
-	Recovery bool
-	// RecoveryBuffer overrides the per-peer retransmission buffer capacity
-	// (0 = relink default). Small values force eviction during a partition
-	// and exercise the decide-relay/fetch path instead of pure replay.
-	RecoveryBuffer int
-	// DecisionLogCap overrides the consensus decide-relay's decision-log
-	// retention (0 = consensus default). Small values push a partitioned
-	// minority beyond the relay's horizon — the deep-lag regime snapshot
-	// state transfer exists for.
-	DecisionLogCap int
-	// Snapshot enables snapshot state transfer on every process (implies
-	// Recovery): a peer behind by more than DecisionLogCap instances is
-	// shipped the delivered prefix plus engine state instead of a decision
-	// replay it cannot use. Figure g4 compares relay-only against it.
-	Snapshot bool
-
-	// Persist enables crash-recovery persistence on every process: a
-	// per-process in-memory checkpoint/WAL store (core.Config.Persist),
-	// which also implies the recovery subsystem with snapshot transfer.
-	// CheckpointInterval overrides the checkpoint cadence (0 = core
-	// default).
-	Persist            bool
-	CheckpointInterval time.Duration
-
 	// RestartProc, when non-zero, injects a crash-restart episode: the
 	// process crashes at RestartCrashAt (in-flight traffic dropped) and — if
 	// RestartAt is non-zero — a fresh incarnation on the same store rejoins
 	// at RestartAt, catching the tail through the repair paths. RestartAt of
 	// zero leaves the process down for the rest of the run (the no-recovery
-	// baseline of figure r1). Restarting requires Persist; the restarted
+	// baseline of figure r1). Restarting requires Stack.Persist; the restarted
 	// process is excluded from the senders (its pending workload timers
 	// would die with the crash) but still measured, so full delivery — and
 	// the Rate metric — waits for its catch-up.
@@ -126,17 +91,11 @@ type Experiment struct {
 	RestartCrashAt time.Duration
 	RestartAt      time.Duration
 
-	// Members, when non-nil, enables dynamic membership: only the listed
-	// processes (a subset of 1..N) form the initial ordering group. The
-	// workload then comes from the stable members only (initial members that
-	// no churn event removes), and full delivery is measured at the members
-	// of the final view — the processes the run's guarantees are about.
-	Members []int
 	// Churn schedules membership changes: at each event's virtual instant,
 	// process From (a member at that time) atomically broadcasts the
 	// join/leave, which takes effect at its delivery point in the total
-	// order. Requires Members; churn runs want Recovery (and Snapshot for
-	// deep joins) so joiners can catch up.
+	// order. Requires Stack.Members; churn runs want Stack.Recover (and
+	// Snapshot for deep joins) so joiners can catch up.
 	Churn []ChurnEvent
 
 	// MaxVirtual caps the simulated time after the last send; messages
@@ -264,7 +223,7 @@ func Run(e Experiment) (Result, error) {
 
 	engines := make([]*core.Engine, e.N+1)
 	var stores []*persist.MemStore
-	if e.Persist {
+	if e.Stack.Persist != nil {
 		stores = make([]*persist.MemStore, e.N+1)
 		for i := 1; i <= e.N; i++ {
 			stores[i] = persist.NewMemStore()
@@ -274,51 +233,24 @@ func Run(e Experiment) (Result, error) {
 	// once per process at setup, and again from a restart episode, where the
 	// fresh incarnation rehydrates from stores[i].
 	startProc := func(i int, node *stack.Node) error {
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
-		var rcfg *core.RecoverConfig
-		if e.Recovery || e.Snapshot {
-			rcfg = &core.RecoverConfig{
-				Link:           relink.Config{BufferCap: e.RecoveryBuffer},
-				DecisionLogCap: e.DecisionLogCap,
-				Snapshot:       e.Snapshot,
+		cfg := e.Stack
+		cfg.Detector = fd.NewHeartbeat(node, fd.DefaultConfig())
+		cfg.RcvCheckCost = e.Params.RcvCheckPerID
+		cfg.Trace = tr
+		if cfg.Persist != nil {
+			pc := *cfg.Persist
+			pc.Store = stores[i]
+			cfg.Persist = &pc
+		}
+		cfg.Deliver = func(app *msg.App) {
+			// First delivery only: across a restart the suffix above the
+			// checkpoint redelivers (at-least-once), and latency measures
+			// the original delivery instant.
+			if _, ok := deliveredAt[i][app.ID]; !ok {
+				deliveredAt[i][app.ID] = virt(w)
 			}
 		}
-		var pcfg *core.PersistConfig
-		if e.Persist {
-			pcfg = &core.PersistConfig{Store: stores[i], Interval: e.CheckpointInterval}
-		}
-		var acfg *adapt.Config
-		if e.Adaptive {
-			acfg = &adapt.Config{}
-		}
-		var members []stack.ProcessID
-		if e.Members != nil {
-			members = make([]stack.ProcessID, len(e.Members))
-			for j, m := range e.Members {
-				members[j] = stack.ProcessID(m)
-			}
-		}
-		eng, err := core.New(node, core.Config{
-			Variant:      e.Variant,
-			RB:           e.RB,
-			Detector:     det,
-			RcvCheckCost: e.Params.RcvCheckPerID,
-			MaxBatch:     e.MaxBatch,
-			Pipeline:     e.Pipeline,
-			Adapt:        acfg,
-			Recover:      rcfg,
-			Persist:      pcfg,
-			Members:      members,
-			Trace:        tr,
-			Deliver: func(app *msg.App) {
-				// First delivery only: across a restart the suffix above the
-				// checkpoint redelivers (at-least-once), and latency measures
-				// the original delivery instant.
-				if _, ok := deliveredAt[i][app.ID]; !ok {
-					deliveredAt[i][app.ID] = virt(w)
-				}
-			},
-		})
+		eng, err := core.New(node, cfg)
 		if err != nil {
 			return fmt.Errorf("bench: %w", err)
 		}
@@ -547,19 +479,19 @@ func allDelivered(sentAt map[msg.ID]time.Duration, deliveredAt []map[msg.ID]time
 	return true
 }
 
-// validMembership checks the experiment's Members/Churn configuration.
+// validMembership checks the experiment's Stack.Members/Churn configuration.
 func (e *Experiment) validMembership() error {
-	if e.Members == nil {
+	if e.Stack.Members == nil {
 		if len(e.Churn) > 0 {
-			return fmt.Errorf("bench: Churn requires Members")
+			return fmt.Errorf("bench: Churn requires Stack.Members")
 		}
 		return nil
 	}
-	if len(e.Members) == 0 {
+	if len(e.Stack.Members) == 0 {
 		return fmt.Errorf("bench: empty initial member set")
 	}
-	for _, m := range e.Members {
-		if m < 1 || m > e.N {
+	for _, m := range e.Stack.Members {
+		if m < 1 || int(m) > e.N {
 			return fmt.Errorf("bench: member %d out of range 1..%d", m, e.N)
 		}
 	}
@@ -595,11 +527,11 @@ func (e *Experiment) validRestart() error {
 		if e.RestartAt <= e.RestartCrashAt {
 			return fmt.Errorf("bench: RestartAt must follow RestartCrashAt")
 		}
-		if !e.Persist {
-			return fmt.Errorf("bench: restarting requires Persist (the checkpoint to rejoin from)")
+		if e.Stack.Persist == nil {
+			return fmt.Errorf("bench: restarting requires Stack.Persist (the checkpoint to rejoin from)")
 		}
 	}
-	if e.Members != nil {
+	if e.Stack.Members != nil {
 		return fmt.Errorf("bench: restart episodes and dynamic membership cannot be combined")
 	}
 	return nil
@@ -612,7 +544,7 @@ func (e *Experiment) validRestart() error {
 // full-delivery workload. A crash-restart episode's subject is likewise
 // excluded: its pending workload timers would die with the crash.
 func (e *Experiment) senderProcs() []stack.ProcessID {
-	if e.Members == nil {
+	if e.Stack.Members == nil {
 		out := make([]stack.ProcessID, 0, e.N)
 		for i := 1; i <= e.N; i++ {
 			if i != e.RestartProc {
@@ -627,10 +559,10 @@ func (e *Experiment) senderProcs() []stack.ProcessID {
 			leaves[ce.Leave] = true
 		}
 	}
-	out := make([]stack.ProcessID, 0, len(e.Members))
-	for _, m := range e.Members {
-		if !leaves[m] {
-			out = append(out, stack.ProcessID(m))
+	out := make([]stack.ProcessID, 0, len(e.Stack.Members))
+	for _, m := range e.Stack.Members {
+		if !leaves[int(m)] {
+			out = append(out, m)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -641,16 +573,16 @@ func (e *Experiment) senderProcs() []stack.ProcessID {
 // process for a static run, the final view's members under churn (applying
 // the scheduled joins and leaves to the initial set, in schedule order).
 func (e *Experiment) measuredProcs() []int {
-	if e.Members == nil {
+	if e.Stack.Members == nil {
 		out := make([]int, e.N)
 		for i := range out {
 			out[i] = i + 1
 		}
 		return out
 	}
-	in := make(map[int]bool, len(e.Members))
-	for _, m := range e.Members {
-		in[m] = true
+	in := make(map[int]bool, len(e.Stack.Members))
+	for _, m := range e.Stack.Members {
+		in[int(m)] = true
 	}
 	for _, ce := range e.Churn {
 		if ce.Join != 0 {

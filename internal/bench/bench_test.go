@@ -15,8 +15,7 @@ func quickExp(variant core.Variant) Experiment {
 		Name:       "quick",
 		N:          3,
 		Params:     netmodel.Setup1(),
-		Variant:    variant,
-		RB:         rbcast.KindEager,
+		Stack:      core.Config{Variant: variant, RB: rbcast.KindEager},
 		Throughput: 200,
 		Payload:    10,
 		Messages:   60,
@@ -181,8 +180,8 @@ func TestFigureRunAndPrint(t *testing.T) {
 		XLabel: "payload [bytes]",
 		Xs:     []float64{0, 100},
 		Stacks: []StackSpec{
-			{Label: "Indirect", Variant: core.VariantIndirectCT, RB: rbcast.KindEager},
-			{Label: "Faulty", Variant: core.VariantFaultyIDs, RB: rbcast.KindEager},
+			{Label: "Indirect", Stack: stackIndirect.Stack},
+			{Label: "Faulty", Stack: stackFaulty.Stack},
 		},
 		Build: buildPayloadSweep(3, netmodel.Setup1(), 100),
 	}

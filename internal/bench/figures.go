@@ -10,46 +10,25 @@ import (
 	"abcast/internal/core"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
+	"abcast/internal/relink"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
 
-// StackSpec labels one curve of a figure.
+// StackSpec is one curve of a figure: a label and the engine configuration
+// template the curve's experiments run (see Experiment.Stack). A figure's
+// Build passes Stack through and touches only what the figure sweeps — the
+// pipeline width, for the W-sweep figures.
 type StackSpec struct {
-	Label   string
-	Variant core.Variant
-	RB      rbcast.Kind
-	// MaxBatch caps identifiers per consensus instance for ablation
-	// curves (zero — unlimited — for the paper's figures). The pipeline
-	// window is not a curve property: the p1 ablation sweeps it on the x
-	// axis instead.
-	MaxBatch int
-	// Recovery/RecoveryBuffer enable the drop-partition recovery subsystem
-	// for this curve (figure g3 compares recovery off, on, and on with
-	// tiny buffers that force the decide-relay path).
-	Recovery       bool
-	RecoveryBuffer int
-	// DecisionLogCap/Snapshot configure the deep-lag regime: a small
-	// decision log pushes a cut-off minority beyond the decide-relay's
-	// horizon, and Snapshot enables the state transfer that closes such a
-	// gap (figure g4 compares relay-only against it).
-	DecisionLogCap int
-	Snapshot       bool
-	// Pipeline fixes the curve's pipeline width when a figure compares
-	// widths as curves instead of sweeping them on the x axis, and
-	// Adaptive hands the width (and batch cap) to the feedback control
-	// plane instead. Figure p2 pits static widths against the controller.
-	Pipeline int
-	Adaptive bool
+	Label string
+	Stack core.Config
 	// Churn marks the curve that runs the figure's membership-change
 	// schedule; the figure's Build decides the actual events. Figure m1
 	// compares a static member set against one join plus one leave.
 	Churn bool
-	// Persist enables crash-recovery persistence for this curve, and
 	// Restart marks the curve whose crashed process comes back from its
 	// checkpoint; the figure's Build decides the schedule. Figure r1
 	// compares restart-from-checkpoint against staying down.
-	Persist bool
 	Restart bool
 }
 
@@ -178,13 +157,46 @@ func seq(from, to, step float64) []float64 {
 	return out
 }
 
+// indirectCT is the stack the extension figures run: IndirectCT over eager
+// diffusion, with the given per-instance batch cap (0 = unbounded).
+func indirectCT(maxBatch int) core.Config {
+	return core.Config{Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: maxBatch}
+}
+
+// recovering returns c with the recovery subsystem on: per-peer
+// retransmission buffers of the given capacity (small values force eviction
+// during a partition and exercise the decide-relay/fetch path instead of pure
+// replay) and the given decision-log retention (small values push a
+// partitioned minority beyond the relay's horizon); 0 = the layer's default.
+func recovering(c core.Config, buffer, logCap int) core.Config {
+	c.Recover = &core.RecoverConfig{Link: relink.Config{BufferCap: buffer}, DecisionLogCap: logCap}
+	return c
+}
+
+// snapshotting returns c with snapshot state transfer on.
+func snapshotting(c core.Config) core.Config {
+	c.Snapshot = true
+	return c
+}
+
+// atWidth returns c with pipeline width w — the x axis of the W sweeps.
+func atWidth(c core.Config, w int) core.Config {
+	c.Pipeline = w
+	return c
+}
+
 // Stack labels shared across figures (matching the paper's legends).
 var (
-	stackIndirect   = StackSpec{Label: "Indirect consensus", Variant: core.VariantIndirectCT, RB: rbcast.KindEager}
-	stackIndirectN1 = StackSpec{Label: "Indirect w/ O(n) rb", Variant: core.VariantIndirectCT, RB: rbcast.KindLazy}
-	stackOnMsgs     = StackSpec{Label: "Consensus", Variant: core.VariantConsensusMsgs, RB: rbcast.KindEager}
-	stackFaulty     = StackSpec{Label: "(Faulty) consensus", Variant: core.VariantFaultyIDs, RB: rbcast.KindEager}
-	stackURB        = StackSpec{Label: "Consensus w/ URB", Variant: core.VariantURBIDs, RB: rbcast.KindUniform}
+	stackIndirect   = StackSpec{Label: "Indirect consensus", Stack: indirectCT(0)}
+	stackIndirectN1 = StackSpec{Label: "Indirect w/ O(n) rb", Stack: core.Config{Variant: core.VariantIndirectCT, RB: rbcast.KindLazy}}
+	stackOnMsgs     = StackSpec{Label: "Consensus", Stack: core.Config{Variant: core.VariantConsensusMsgs, RB: rbcast.KindEager}}
+	stackFaulty     = StackSpec{Label: "(Faulty) consensus", Stack: core.Config{Variant: core.VariantFaultyIDs, RB: rbcast.KindEager}}
+	stackURB        = StackSpec{Label: "Consensus w/ URB", Stack: core.Config{Variant: core.VariantURBIDs, RB: rbcast.KindUniform}}
+
+	stacksCappedVsUnbounded = []StackSpec{
+		{Label: "Indirect, MaxBatch=4", Stack: indirectCT(4)},
+		{Label: "Indirect, unbounded", Stack: indirectCT(0)},
+	}
 )
 
 // buildPayloadSweep returns a builder for latency-vs-payload figures.
@@ -195,8 +207,7 @@ func buildPayloadSweep(n int, params netmodel.Params, throughput float64) func(S
 			Name:       fmt.Sprintf("%s tp=%.0f payload=%.0f", s.Label, throughput, x),
 			N:          n,
 			Params:     params,
-			Variant:    s.Variant,
-			RB:         s.RB,
+			Stack:      s.Stack,
 			Throughput: throughput,
 			Payload:    int(x),
 			Messages:   measured,
@@ -215,8 +226,7 @@ func buildThroughputSweep(n int, params netmodel.Params, payload int) func(Stack
 			Name:       fmt.Sprintf("%s tp=%.0f payload=%d", s.Label, x, payload),
 			N:          n,
 			Params:     params,
-			Variant:    s.Variant,
-			RB:         s.RB,
+			Stack:      s.Stack,
 			Throughput: x,
 			Payload:    payload,
 			Messages:   measured,
@@ -308,7 +318,7 @@ func Figures() map[string]FigureSpec {
 			figs = append(figs, FigureSpec{
 				ID: id,
 				Title: fmt.Sprintf("latency vs payload, n=3, %.0f msg/s, Setup 2, %s diffusion (vs consensus+URB)",
-					tp, group.stack.RB),
+					tp, group.stack.Stack.RB),
 				XLabel: "payload [bytes]",
 				Xs:     seq(0, 2500, 500),
 				Stacks: []StackSpec{group.stack, stackURB},
@@ -333,8 +343,7 @@ func Figures() map[string]FigureSpec {
 				Name:       fmt.Sprintf("%s n=%.0f", s.Label, x),
 				N:          int(x),
 				Params:     s1,
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      s.Stack,
 				Throughput: 200,
 				Payload:    1000,
 				Messages:   measured,
@@ -357,25 +366,19 @@ func Figures() map[string]FigureSpec {
 		XLabel: "pipeline width [W]",
 		Metric: MetricRate,
 		Xs:     []float64{1, 2, 4, 8},
-		Stacks: []StackSpec{
-			{Label: "Indirect, MaxBatch=4", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "Indirect, unbounded", Variant: core.VariantIndirectCT, RB: rbcast.KindEager},
-		},
+		Stacks: stacksCappedVsUnbounded,
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(3000, scale)
 			return Experiment{
 				Name:       fmt.Sprintf("%s W=%.0f", s.Label, x),
 				N:          3,
 				Params:     PipelineParams(),
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      atWidth(s.Stack, int(x)),
 				Throughput: 3000,
 				Payload:    1,
 				Messages:   measured,
 				Warmup:     warmup,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   int(x),
 				MaxVirtual: 2 * time.Second,
 			}
 		},
@@ -394,25 +397,19 @@ func Figures() map[string]FigureSpec {
 		Desc:   "WAN: latency vs pipeline width W across 3 sites",
 		XLabel: "pipeline width [W]",
 		Xs:     []float64{1, 2, 4, 8},
-		Stacks: []StackSpec{
-			{Label: "Indirect, MaxBatch=4", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "Indirect, unbounded", Variant: core.VariantIndirectCT, RB: rbcast.KindEager},
-		},
+		Stacks: stacksCappedVsUnbounded,
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(100, scale)
 			return Experiment{
 				Name:       fmt.Sprintf("%s W=%.0f wan3", s.Label, x),
 				N:          3,
 				Params:     netmodel.WAN3Sites(),
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      atWidth(s.Stack, int(x)),
 				Throughput: 100,
 				Payload:    100,
 				Messages:   measured,
 				Warmup:     warmup,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   int(x),
 				MaxVirtual: 90 * time.Second,
 			}
 		},
@@ -433,25 +430,19 @@ func Figures() map[string]FigureSpec {
 		XLabel: "pipeline width [W]",
 		Metric: MetricRate,
 		Xs:     []float64{1, 2, 4, 8},
-		Stacks: []StackSpec{
-			{Label: "Indirect, MaxBatch=4", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "Indirect, unbounded", Variant: core.VariantIndirectCT, RB: rbcast.KindEager},
-		},
+		Stacks: stacksCappedVsUnbounded,
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(120, scale)
 			return Experiment{
 				Name:              fmt.Sprintf("%s W=%.0f wan3+partition", s.Label, x),
 				N:                 3,
 				Params:            netmodel.WAN3Sites(),
-				Variant:           s.Variant,
-				RB:                s.RB,
+				Stack:             atWidth(s.Stack, int(x)),
 				Throughput:        120,
 				Payload:           100,
 				Messages:          measured,
 				Warmup:            warmup,
 				Seed:              seed,
-				MaxBatch:          s.MaxBatch,
-				Pipeline:          int(x),
 				PartitionFrom:     400 * time.Millisecond,
 				PartitionUntil:    1100 * time.Millisecond,
 				PartitionMinority: []int{3},
@@ -478,9 +469,9 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{1, 2, 4},
 		Stacks: []StackSpec{
-			{Label: "No recovery", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "Recovery", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Recovery: true},
-			{Label: "Recovery, 16-msg buffers", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Recovery: true, RecoveryBuffer: 16},
+			{Label: "No recovery", Stack: indirectCT(4)},
+			{Label: "Recovery", Stack: recovering(indirectCT(4), 0, 0)},
+			{Label: "Recovery, 16-msg buffers", Stack: recovering(indirectCT(4), 16, 0)},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(120, scale)
@@ -488,21 +479,16 @@ func Figures() map[string]FigureSpec {
 				Name:              fmt.Sprintf("%s W=%.0f wan3+drop-partition", s.Label, x),
 				N:                 3,
 				Params:            netmodel.WAN3Sites(),
-				Variant:           s.Variant,
-				RB:                s.RB,
+				Stack:             atWidth(s.Stack, int(x)),
 				Throughput:        120,
 				Payload:           100,
 				Messages:          measured,
 				Warmup:            warmup,
 				Seed:              seed,
-				MaxBatch:          s.MaxBatch,
-				Pipeline:          int(x),
 				PartitionFrom:     400 * time.Millisecond,
 				PartitionUntil:    1100 * time.Millisecond,
 				PartitionMinority: []int{3},
 				PartitionDrop:     true,
-				Recovery:          s.Recovery,
-				RecoveryBuffer:    s.RecoveryBuffer,
 				// The no-recovery curve never reaches full delivery, so it
 				// always runs to the horizon; keep it short.
 				MaxVirtual: 20 * time.Second,
@@ -530,8 +516,8 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{1, 2, 4},
 		Stacks: []StackSpec{
-			{Label: "Relay only", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Recovery: true, RecoveryBuffer: 16, DecisionLogCap: 8},
-			{Label: "Snapshot", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Recovery: true, RecoveryBuffer: 16, DecisionLogCap: 8, Snapshot: true},
+			{Label: "Relay only", Stack: recovering(indirectCT(4), 16, 8)},
+			{Label: "Snapshot", Stack: snapshotting(recovering(indirectCT(4), 16, 8))},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(120, scale)
@@ -539,23 +525,16 @@ func Figures() map[string]FigureSpec {
 				Name:              fmt.Sprintf("%s W=%.0f wan3+deep-lag", s.Label, x),
 				N:                 3,
 				Params:            netmodel.WAN3Sites(),
-				Variant:           s.Variant,
-				RB:                s.RB,
+				Stack:             atWidth(s.Stack, int(x)),
 				Throughput:        120,
 				Payload:           100,
 				Messages:          measured,
 				Warmup:            warmup,
 				Seed:              seed,
-				MaxBatch:          s.MaxBatch,
-				Pipeline:          int(x),
 				PartitionFrom:     400 * time.Millisecond,
 				PartitionUntil:    1100 * time.Millisecond,
 				PartitionMinority: []int{3},
 				PartitionDrop:     true,
-				Recovery:          s.Recovery,
-				RecoveryBuffer:    s.RecoveryBuffer,
-				DecisionLogCap:    s.DecisionLogCap,
-				Snapshot:          s.Snapshot,
 				// The relay-only curve never reaches full delivery, so it
 				// always runs to the horizon; keep it short.
 				MaxVirtual: 20 * time.Second,
@@ -582,10 +561,10 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{1, 2},
 		Stacks: []StackSpec{
-			{Label: "Static W=1", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: 1},
-			{Label: "Static W=4", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: 4},
-			{Label: "Static W=8", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: 8},
-			{Label: "Adaptive", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, Adaptive: true},
+			{Label: "Static W=1", Stack: atWidth(indirectCT(4), 1)},
+			{Label: "Static W=4", Stack: atWidth(indirectCT(4), 4)},
+			{Label: "Static W=8", Stack: atWidth(indirectCT(4), 8)},
+			{Label: "Adaptive", Stack: core.Config{Variant: core.VariantIndirectCT, RB: rbcast.KindEager, Adaptive: true}},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			params := PipelineParams()
@@ -613,20 +592,18 @@ func Figures() map[string]FigureSpec {
 				Name:       fmt.Sprintf("%s x=%.0f ramped", s.Label, x),
 				N:          3,
 				Params:     params,
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      s.Stack,
 				Load:       load,
 				Payload:    100,
 				Messages:   measured,
 				Warmup:     measured / 8,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   s.Pipeline,
-				Adaptive:   s.Adaptive,
 				MaxVirtual: maxVirtual,
 			}
 		},
 	})
+	m1Stack := snapshotting(atWidth(indirectCT(4), 4))
+	m1Stack.Members = []stack.ProcessID{1, 2, 3}
 	figs = append(figs, FigureSpec{
 		ID:     "m1",
 		Title:  "EXTENSION: delivered throughput under membership churn: static member set vs one join + one leave riding the total order, universe n=4 starting as {1,2,3}, 100 B, IndirectCT, W=4, MaxBatch=4, recovery+snapshot; x=1: Setup 2 @ 1 ms links (2000 msg/s), x=2: wan3 (160 msg/s)",
@@ -635,8 +612,8 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{1, 2},
 		Stacks: []StackSpec{
-			{Label: "Static members", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: 4, Snapshot: true},
-			{Label: "Join+Leave", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Pipeline: 4, Snapshot: true, Churn: true},
+			{Label: "Static members", Stack: m1Stack},
+			{Label: "Join+Leave", Stack: m1Stack, Churn: true},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			params := PipelineParams()
@@ -658,18 +635,12 @@ func Figures() map[string]FigureSpec {
 				Name:       fmt.Sprintf("%s x=%.0f churn", s.Label, x),
 				N:          4,
 				Params:     params,
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      s.Stack,
 				Throughput: throughput,
 				Payload:    100,
 				Messages:   measured,
 				Warmup:     warmup,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   s.Pipeline,
-				Recovery:   true,
-				Snapshot:   s.Snapshot,
-				Members:    []int{1, 2, 3},
 				MaxVirtual: maxVirtual,
 			}
 			if s.Churn {
@@ -700,9 +671,9 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{1, 2, 4, 8},
 		Stacks: []StackSpec{
-			{Label: "Indirect, MaxBatch=1", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 1},
-			{Label: "Indirect, MaxBatch=4", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "Indirect, unbounded", Variant: core.VariantIndirectCT, RB: rbcast.KindEager},
+			{Label: "Indirect, MaxBatch=1", Stack: indirectCT(1)},
+			{Label: "Indirect, MaxBatch=4", Stack: indirectCT(4)},
+			{Label: "Indirect, unbounded", Stack: indirectCT(0)},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(3000, scale)
@@ -710,15 +681,12 @@ func Figures() map[string]FigureSpec {
 				Name:       fmt.Sprintf("%s W=%.0f cpu", s.Label, x),
 				N:          3,
 				Params:     netmodel.Setup1(),
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      atWidth(s.Stack, int(x)),
 				Throughput: 3000,
 				Payload:    1,
 				Messages:   measured,
 				Warmup:     warmup,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   int(x),
 				MaxVirtual: 2 * time.Second,
 				ProcDelays: simnet.ProcessingDelays{stack.ProtoCons: 150 * time.Microsecond},
 			}
@@ -736,6 +704,8 @@ func Figures() map[string]FigureSpec {
 	// keep ordering, but full delivery never happens, so those points run to
 	// the horizon and read as saturated — the cost of having no recovery at
 	// all, same role as g3's no-recovery curve.
+	r1Stack := indirectCT(4)
+	r1Stack.Persist = &core.PersistConfig{}
 	figs = append(figs, FigureSpec{
 		ID:     "r1",
 		Title:  "EXTENSION: delivered throughput vs crash downtime: restart from checkpoint vs staying down, n=3, p3 crashes at 800 ms (in-flight dropped), offered 60 msg/s, 100 B, Setup 1, IndirectCT, MaxBatch=4, persistence on",
@@ -744,8 +714,8 @@ func Figures() map[string]FigureSpec {
 		Metric: MetricRate,
 		Xs:     []float64{200, 500, 1000, 2000},
 		Stacks: []StackSpec{
-			{Label: "Restart from checkpoint", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Persist: true, Restart: true},
-			{Label: "No restart", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4, Persist: true},
+			{Label: "Restart from checkpoint", Stack: r1Stack, Restart: true},
+			{Label: "No restart", Stack: r1Stack},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			measured, warmup := defaultMessages(60, scale)
@@ -753,15 +723,12 @@ func Figures() map[string]FigureSpec {
 				Name:           fmt.Sprintf("%s downtime=%.0fms", s.Label, x),
 				N:              3,
 				Params:         netmodel.Setup1(),
-				Variant:        s.Variant,
-				RB:             s.RB,
+				Stack:          s.Stack,
 				Throughput:     60,
 				Payload:        100,
 				Messages:       measured,
 				Warmup:         warmup,
 				Seed:           seed,
-				MaxBatch:       s.MaxBatch,
-				Persist:        s.Persist,
 				RestartProc:    3,
 				RestartCrashAt: 800 * time.Millisecond,
 				// The no-restart curve never reaches full delivery, so it
@@ -793,8 +760,8 @@ func Figures() map[string]FigureSpec {
 		XLabel: "pipeline width [W]",
 		Xs:     []float64{1, 2, 4, 8},
 		Stacks: []StackSpec{
-			{Label: "Metro 1 ms", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
-			{Label: "3-site WAN", Variant: core.VariantIndirectCT, RB: rbcast.KindEager, MaxBatch: 4},
+			{Label: "Metro 1 ms", Stack: indirectCT(4)},
+			{Label: "3-site WAN", Stack: indirectCT(4)},
 		},
 		Build: func(s StackSpec, x, scale float64, seed int64) Experiment {
 			params := PipelineParams()
@@ -810,15 +777,12 @@ func Figures() map[string]FigureSpec {
 				Name:       fmt.Sprintf("%s W=%.0f traced", s.Label, x),
 				N:          3,
 				Params:     params,
-				Variant:    s.Variant,
-				RB:         s.RB,
+				Stack:      atWidth(s.Stack, int(x)),
 				Throughput: throughput,
 				Payload:    100,
 				Messages:   measured,
 				Warmup:     warmup,
 				Seed:       seed,
-				MaxBatch:   s.MaxBatch,
-				Pipeline:   int(x),
 				Trace:      true,
 				MaxVirtual: maxVirtual,
 			}

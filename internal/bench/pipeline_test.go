@@ -3,9 +3,6 @@ package bench
 import (
 	"testing"
 	"time"
-
-	"abcast/internal/core"
-	"abcast/internal/rbcast"
 )
 
 // pipelinePoint is one point of the p1 ablation, shrunk to test size: an
@@ -17,15 +14,12 @@ func pipelinePoint(w int) Experiment {
 		Name:       "pipeline-ablation",
 		N:          3,
 		Params:     PipelineParams(),
-		Variant:    core.VariantIndirectCT,
-		RB:         rbcast.KindEager,
+		Stack:      atWidth(indirectCT(4), w),
 		Throughput: 3000,
 		Payload:    1,
 		Messages:   2500,
 		Warmup:     100,
 		Seed:       5,
-		MaxBatch:   4,
-		Pipeline:   w,
 		MaxVirtual: time.Second,
 	}
 }
@@ -63,7 +57,7 @@ func TestPipelineRaisesDeliveredRate(t *testing.T) {
 func TestPipelineUnboundedBatchControl(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		e := pipelinePoint(w)
-		e.MaxBatch = 0
+		e.Stack.MaxBatch = 0
 		e.Throughput = 800
 		e.MaxVirtual = 20 * time.Second
 		r, err := Run(e)

@@ -10,7 +10,6 @@ import (
 	"abcast/internal/core"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
 )
@@ -90,22 +89,18 @@ func checkChains(t *testing.T, r Result) {
 // join and a leave, plus a drop-mode partition the recovery subsystem (with
 // snapshot transfer) must repair.
 func TestTraceCompletenessChurnPartition(t *testing.T) {
+	churning := snapshotting(atWidth(indirectCT(4), 2))
+	churning.Members = []stack.ProcessID{1, 2, 3}
 	e := Experiment{
 		Name:              "trace churn+partition",
 		N:                 4,
 		Params:            PipelineParams(),
-		Variant:           core.VariantIndirectCT,
-		RB:                rbcast.KindEager,
+		Stack:             churning,
 		Throughput:        400,
 		Payload:           50,
 		Messages:          120,
 		Warmup:            20,
 		Seed:              7,
-		MaxBatch:          4,
-		Pipeline:          2,
-		Recovery:          true,
-		Snapshot:          true,
-		Members:           []int{1, 2, 3},
 		PartitionFrom:     120 * time.Millisecond,
 		PartitionUntil:    240 * time.Millisecond,
 		PartitionMinority: []int{2},
@@ -132,19 +127,18 @@ func TestTraceCompletenessChurnPartition(t *testing.T) {
 // crash-restart episode, and that the restarted incarnation recorded its
 // rehydration.
 func TestTraceCompletenessRestart(t *testing.T) {
+	durable := indirectCT(4)
+	durable.Persist = &core.PersistConfig{}
 	e := Experiment{
 		Name:           "trace restart",
 		N:              3,
 		Params:         netmodel.Setup1(),
-		Variant:        core.VariantIndirectCT,
-		RB:             rbcast.KindEager,
+		Stack:          durable,
 		Throughput:     60,
 		Payload:        50,
 		Messages:       80,
 		Warmup:         10,
 		Seed:           5,
-		MaxBatch:       4,
-		Persist:        true,
 		RestartProc:    3,
 		RestartCrashAt: 400 * time.Millisecond,
 		RestartAt:      900 * time.Millisecond,
@@ -244,24 +238,30 @@ func TestTraceDoubleRunIdenticalJSONL(t *testing.T) {
 	}
 }
 
+// pinnedArchive is the newest archived point of the virtual-time trajectory
+// (docs/OPERATIONS.md "Pinned trajectory"): a PR that archives a new point
+// repoints it.
+const pinnedArchive = "BENCH_669f75b.json"
+
 // TestPinnedArchiveByteIdentical regenerates the pinned figure set at the
 // archived scale and compares it byte-for-byte against the checked-in
-// trajectory point. The full run takes minutes, so it only runs when
-// ABCAST_PINNED=1 (CI's figures job sets it); the cheap double-run
-// determinism checks above always run.
+// trajectory point. It runs only under ABCAST_PINNED=1 (CI's figures job
+// sets it): a PR that changes a figure on purpose fails it by design, until
+// it archives the new point; the cheap double-run determinism checks above
+// always run.
 func TestPinnedArchiveByteIdentical(t *testing.T) {
 	if os.Getenv("ABCAST_PINNED") != "1" {
 		t.Skip("set ABCAST_PINNED=1 to regenerate and compare the pinned archive")
 	}
-	want, err := os.ReadFile("../../BENCH_66fb832.json")
+	want, err := os.ReadFile("../../" + pinnedArchive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := RunJSON(&got, []string{"p1", "g1", "g3", "g4", "m1", "c1", "r1"}, 0.25, 1); err != nil {
+	if err := RunJSON(&got, []string{"p1", "g1", "g3", "g4", "m1", "c1", "r1", "o1"}, 0.25, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("pinned set drifted from BENCH_66fb832.json (got %d bytes, want %d)", got.Len(), len(want))
+		t.Fatalf("pinned set drifted from %s (got %d bytes, want %d)", pinnedArchive, got.Len(), len(want))
 	}
 }

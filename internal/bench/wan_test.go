@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/core"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 )
 
 // wanPoint is a small WAN experiment, optionally with the g2 partition
@@ -21,15 +19,12 @@ func wanPoint(w int, episode bool) Experiment {
 		Name:       "wan-point",
 		N:          3,
 		Params:     netmodel.WAN3Sites(),
-		Variant:    core.VariantIndirectCT,
-		RB:         rbcast.KindEager,
+		Stack:      atWidth(indirectCT(4), w),
 		Throughput: 100,
 		Payload:    100,
 		Messages:   150,
 		Warmup:     30,
 		Seed:       11,
-		MaxBatch:   4,
-		Pipeline:   w,
 		MaxVirtual: 60 * time.Second,
 	}
 	if episode {
@@ -56,7 +51,7 @@ func TestPartitionMinorityValidated(t *testing.T) {
 func TestWANLatencyDominatedByPropagation(t *testing.T) {
 	e := wanPoint(1, false)
 	e.Throughput = 10
-	e.Messages, e.Warmup, e.MaxBatch = 40, 10, 0
+	e.Messages, e.Warmup, e.Stack.MaxBatch = 40, 10, 0
 	r, err := Run(e)
 	if err != nil {
 		t.Fatal(err)

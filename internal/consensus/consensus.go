@@ -29,7 +29,6 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"abcast/internal/fd"
@@ -119,14 +118,6 @@ type Config struct {
 	// never ack, echo, or coordinate, and the instance could stall. The
 	// callback may synchronously call Propose for the same instance.
 	OnNeed func(k uint64)
-	// OpenDelay bounds how long an Open announcement may wait for a ride on
-	// outgoing algorithm traffic before the remaining destinations get a
-	// standalone OpenMsg beacon (0 = DefaultOpenDelay). Announcements
-	// piggyback on every algorithm message sent while pending, so under
-	// load most beacons cost no extra network messages; the delay is the
-	// worst-case join latency added to an otherwise idle pipelined
-	// instance.
-	OpenDelay time.Duration
 	// Relay enables the decide-relay: decisions are retained in a bounded
 	// log after their instance is pruned, and a peer observed sending
 	// algorithm traffic for an already-pruned instance — the signature of a
@@ -142,18 +133,13 @@ type Config struct {
 	// relay alone; the cap is the state-transfer analogue of a Raft log
 	// truncated without snapshots.
 	DecisionLogCap int
-	// RelayCooldown rate-limits relays per peer (0 = DefaultRelayCooldown):
-	// a peer's stale traffic triggers at most one relay batch per cooldown,
-	// which both bounds the cost of traffic that merely crossed a prune on
-	// the wire and paces multi-batch catch-up.
-	RelayCooldown time.Duration
 	// OnDeepLag, if set, is invoked — instead of a decision replay — when a
 	// peer's stale traffic or explicit SyncReqMsg reveals it behind the
 	// decision log's floor: the decisions it needs first have already been
 	// evicted, so no amount of relaying can catch it up. The callback is the
 	// seam for snapshot state transfer (the layer above offers the peer its
 	// delivered prefix plus engine state; see core's snapshot subsystem).
-	// Invocations share the per-peer RelayCooldown rate limit with ordinary
+	// Invocations share the per-peer relayCooldown rate limit with ordinary
 	// relays. Without the callback, a deep-lagged peer gets the best-effort
 	// logged tail, which cannot close its gap.
 	OnDeepLag func(q stack.ProcessID, from uint64)
@@ -165,8 +151,8 @@ type Config struct {
 	// rotating coordinator, and the broadcast fan-out of instance k are all
 	// computed over ViewAt(k) instead of the full group; algorithm traffic
 	// from a process outside instance k's view is ignored (decisions are
-	// always accepted — they are self-certifying). Nil = the static full
-	// group 1..N.
+	// always accepted — they are self-certifying). Nil = the node's group at
+	// construction (1..N), for every k.
 	ViewAt func(k uint64) []stack.ProcessID
 	// Metrics, when non-nil, is the registry the service's counters
 	// (consensus.*) register into. Nil leaves them standalone — the
@@ -176,29 +162,39 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Relay defaults.
+// DefaultLogCap is the decision-log retention of a zero DecisionLogCap.
+const DefaultLogCap = 4096
+
+// Fixed protocol timing.
 const (
-	// DefaultLogCap is the default decision-log retention.
-	DefaultLogCap = 4096
-	// DefaultRelayCooldown is the default per-peer relay rate limit.
-	DefaultRelayCooldown = 50 * time.Millisecond
+	// openDelay bounds how long an Open announcement may wait for a ride on
+	// outgoing algorithm traffic before the remaining destinations get a
+	// standalone OpenMsg beacon. Announcements piggyback on every algorithm
+	// message sent while pending, so under load most beacons cost no extra
+	// network messages; the delay is the worst-case join latency added to an
+	// otherwise idle pipelined instance — small against any consensus round
+	// trip.
+	openDelay = 250 * time.Microsecond
+	// relayCooldown rate-limits relays per peer: a peer's stale traffic
+	// triggers at most one relay batch per cooldown, which both bounds the
+	// cost of traffic that merely crossed a prune on the wire and paces
+	// multi-batch catch-up.
+	relayCooldown = 50 * time.Millisecond
 	// relayBatch caps decisions sent per relay, bounding the burst a healed
 	// peer receives; its next stale message (or decide re-broadcast) after
 	// the cooldown triggers the next batch.
 	relayBatch = 64
 )
 
-// DefaultOpenDelay is the default piggyback window of Open announcements —
-// small against any consensus round trip, so pipelined instance joins are
-// never delayed materially.
-const DefaultOpenDelay = 250 * time.Microsecond
-
 // Service multiplexes consensus instances over stack.ProtoCons.
 //
 //abcheck:eventloop all Service state is owned by the process's event loop
 type Service struct {
-	proto       stack.Proto
-	cfg         Config
+	proto stack.Proto
+	cfg   Config
+	// group is the member set of every instance when Config.ViewAt is nil:
+	// the node's group at construction, 1..N.
+	group       []stack.ProcessID
 	insts       map[uint64]*instance
 	prunedBelow uint64
 
@@ -240,6 +236,7 @@ func NewService(node *stack.Node, cfg Config) (*Service, error) {
 	s := &Service{
 		proto:       node.Proto(stack.ProtoCons),
 		cfg:         cfg,
+		group:       node.Group(),
 		insts:       make(map[uint64]*instance),
 		pendingOpen: make(map[stack.ProcessID][]uint64),
 
@@ -296,7 +293,7 @@ func (s *Service) instance(k uint64) *instance {
 //
 // The announcement is not broadcast immediately: it piggybacks (as a
 // PiggyMsg wrapper) on whatever algorithm traffic this process sends within
-// Config.OpenDelay, and only the peers that saw no traffic in that window
+// openDelay, and only the peers that saw no traffic in that window
 // get a standalone OpenMsg — one beacon covering every instance still
 // pending for them. Under pipelined load this turns the former n-1 beacon
 // messages per pipelined propose into (usually) zero extra messages.
@@ -306,22 +303,8 @@ func (s *Service) Open(k uint64) {
 	if k < s.prunedBelow {
 		return
 	}
-	ctx := s.proto.Ctx()
-	self := ctx.ID()
-	if ms := s.membersOf(k); ms != nil {
-		for _, q := range ms {
-			if q == self {
-				continue
-			}
-			if !containsU64(s.pendingOpen[q], k) {
-				s.pendingOpen[q] = append(s.pendingOpen[q], k)
-				s.opensAnnounced.Inc()
-			}
-		}
-		s.armOpenFlush()
-		return
-	}
-	for q := stack.ProcessID(1); q <= stack.ProcessID(ctx.N()); q++ {
+	self := s.proto.Ctx().ID()
+	for _, q := range s.membersOf(k) {
 		if q == self {
 			continue
 		}
@@ -333,10 +316,10 @@ func (s *Service) Open(k uint64) {
 	s.armOpenFlush()
 }
 
-// membersOf resolves instance k's member set (nil = the static full group).
+// membersOf resolves instance k's member set: sorted, never nil.
 func (s *Service) membersOf(k uint64) []stack.ProcessID {
 	if s.cfg.ViewAt == nil {
-		return nil
+		return s.group
 	}
 	return s.cfg.ViewAt(k)
 }
@@ -348,11 +331,7 @@ func (s *Service) armOpenFlush() {
 		return
 	}
 	s.flushArmed = true
-	d := s.cfg.OpenDelay
-	if d <= 0 {
-		d = DefaultOpenDelay
-	}
-	s.proto.Ctx().SetTimer(d, s.flushOpens)
+	s.proto.Ctx().SetTimer(openDelay, s.flushOpens)
 }
 
 // flushOpens sends one standalone OpenMsg to every peer whose announcements
@@ -429,32 +408,11 @@ func (s *Service) broadcast(k uint64, m stack.Message) {
 // decides restricted to the old view would strand it with no evidence of
 // the tail to sync on.
 func (s *Service) broadcastDecideMsg(k uint64, m stack.Message, includeSelf bool) {
-	ctx := s.proto.Ctx()
-	self := ctx.ID()
-	if s.cfg.ViewAt == nil {
-		for q := stack.ProcessID(1); q <= stack.ProcessID(ctx.N()); q++ {
-			if q != self {
-				s.send(q, k, m)
-			}
-		}
-		if includeSelf {
-			s.proto.Send(self, k, m)
-		}
-		return
+	self := s.proto.Ctx().ID()
+	targets := s.membersOf(k)
+	if latest := s.membersOf(^uint64(0)); !sameView(targets, latest) {
+		targets = unionViews(targets, latest)
 	}
-	cur := s.cfg.ViewAt(k)
-	latest := s.cfg.ViewAt(^uint64(0))
-	seen := make(map[stack.ProcessID]bool, len(cur)+len(latest))
-	targets := make([]stack.ProcessID, 0, len(cur)+len(latest))
-	for _, ms := range [][]stack.ProcessID{cur, latest} {
-		for _, q := range ms {
-			if !seen[q] {
-				seen[q] = true
-				targets = append(targets, q)
-			}
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 	for _, q := range targets {
 		if q != self {
 			s.send(q, k, m)
@@ -465,20 +423,34 @@ func (s *Service) broadcastDecideMsg(k uint64, m stack.Message, includeSelf bool
 	}
 }
 
-// broadcastOthers is stack.Proto.BroadcastOthers through the piggybacking
-// send path, restricted to instance k's view under dynamic membership.
-func (s *Service) broadcastOthers(k uint64, m stack.Message) {
-	ctx := s.proto.Ctx()
-	self := ctx.ID()
-	if ms := s.membersOf(k); ms != nil {
-		for _, q := range ms {
-			if q != self {
-				s.send(q, k, m)
-			}
+// sameView reports whether a and b are the same view slice — the common
+// case (always, for a static group; between membership changes otherwise),
+// which lets decide dissemination skip building the union.
+func sameView(a, b []stack.ProcessID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// unionViews merges two sorted member sets into one sorted set.
+func unionViews(a, b []stack.ProcessID) []stack.ProcessID {
+	out := make([]stack.ProcessID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
 		}
-		return
 	}
-	for q := stack.ProcessID(1); q <= stack.ProcessID(ctx.N()); q++ {
+	return append(append(out, a...), b...)
+}
+
+// broadcastOthers is stack.Proto.BroadcastOthers through the piggybacking
+// send path, restricted to instance k's view.
+func (s *Service) broadcastOthers(k uint64, m stack.Message) {
+	self := s.proto.Ctx().ID()
+	for _, q := range s.membersOf(k) {
 		if q != self {
 			s.send(q, k, m)
 		}
@@ -699,11 +671,7 @@ func (s *Service) maybeRelay(q stack.ProcessID, k uint64) {
 		return
 	}
 	now := s.proto.Ctx().Now()
-	cooldown := s.cfg.RelayCooldown
-	if cooldown <= 0 {
-		cooldown = DefaultRelayCooldown
-	}
-	if last, ok := s.lastRelay[q]; ok && now.Sub(last) < cooldown {
+	if last, ok := s.lastRelay[q]; ok && now.Sub(last) < relayCooldown {
 		return
 	}
 	s.lastRelay[q] = now
@@ -799,10 +767,4 @@ func (s *Service) RequestSync(q stack.ProcessID, from uint64) {
 type bufferedMsg struct {
 	from stack.ProcessID
 	m    stack.Message
-}
-
-// coord returns the rotating coordinator of round r: (r mod n) + 1, as in
-// Algorithms 2 and 3.
-func coord(r, n int) stack.ProcessID {
-	return stack.ProcessID((r % n) + 1)
 }

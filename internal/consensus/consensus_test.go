@@ -437,7 +437,12 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestCoordRotation(t *testing.T) {
-	// coord(r) = (r mod n) + 1 as in the paper's pseudo-code.
+	// Over the full group 1..n, coord(r) = (r mod n) + 1 as in the paper's
+	// pseudo-code.
+	coord := func(r, n int) stack.ProcessID {
+		w := simnet.NewWorld(n, netmodel.Instant(), 1)
+		return (&instance{members: w.Node(1).Group()}).coordOf(r)
+	}
 	if c := coord(1, 3); c != 2 {
 		t.Fatalf("coord(1,3) = %d, want 2", c)
 	}

@@ -41,7 +41,7 @@ func newCTInst(in *instance) *ctInst {
 	}
 }
 
-func (c *ctInst) n() int                      { return c.in.nMembers() }
+func (c *ctInst) n() int                      { return len(c.in.members) } // the n of the quorum thresholds
 func (c *ctInst) coord(r int) stack.ProcessID { return c.in.coordOf(r) }
 func (c *ctInst) self() stack.ProcessID       { return c.in.ctx().ID() }
 
@@ -104,20 +104,11 @@ func (c *ctInst) tryCoordinatorPropose(r int) {
 		return
 	}
 	// Deterministic selection: among the largest timestamps, take the
-	// estimate of the lowest process id (the member list is sorted, so the
-	// dynamic-view loop preserves that rule).
+	// estimate of the lowest process id (the member list is sorted).
 	best := CTEstimateMsg{TS: -1}
-	if ms := c.in.members; ms != nil {
-		for _, q := range ms {
-			if e, ok := byProc[q]; ok && e.TS > best.TS {
-				best = e
-			}
-		}
-	} else {
-		for q := stack.ProcessID(1); q <= stack.ProcessID(c.n()); q++ {
-			if e, ok := byProc[q]; ok && e.TS > best.TS {
-				best = e
-			}
+	for _, q := range c.in.members {
+		if e, ok := byProc[q]; ok && e.TS > best.TS {
+			best = e
 		}
 	}
 	// In the indirect algorithm this value is estimatec, the

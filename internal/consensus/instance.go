@@ -15,11 +15,10 @@ type instance struct {
 	buffer     []bufferedMsg
 	fdCancel   func()
 	impl       algoImpl
-	// members is the instance's view under dynamic membership, cached at
-	// propose time — the point where quorum math starts. (An instance can be
-	// created earlier, by buffered traffic, when the local view may still be
-	// behind; Config.ViewAt guarantees stability by then.) Nil = the static
-	// full group 1..N.
+	// members is the instance's view (sorted), cached at propose time — the
+	// point where quorum math starts. (An instance can be created earlier, by
+	// buffered traffic, when the local view may still be behind;
+	// Config.ViewAt guarantees stability by then.)
 	members []stack.ProcessID
 }
 
@@ -48,32 +47,16 @@ func newInstance(svc *Service, k uint64) *instance {
 // ctx is a convenience accessor.
 func (in *instance) ctx() stack.Context { return in.svc.proto.Ctx() }
 
-// nMembers returns the size of the instance's view (the n of its quorum
-// thresholds).
-func (in *instance) nMembers() int {
-	if in.members != nil {
-		return len(in.members)
-	}
-	return in.ctx().N()
-}
-
 // coordOf returns the rotating coordinator of round r within the instance's
-// view. For the static full group this is (r mod n) + 1, exactly the
-// paper's rule, because the sorted member list of 1..n maps index r mod n to
-// process r mod n + 1.
+// view. For the full group this is (r mod n) + 1, exactly the paper's rule,
+// because the sorted member list of 1..n maps index r mod n to process
+// r mod n + 1.
 func (in *instance) coordOf(r int) stack.ProcessID {
-	if ms := in.members; ms != nil {
-		return ms[r%len(ms)]
-	}
-	return coord(r, in.ctx().N())
+	return in.members[r%len(in.members)]
 }
 
-// fromMember reports whether q belongs to the instance's view (always true
-// for the static full group — the transport only carries ids 1..N).
+// fromMember reports whether q belongs to the instance's view.
 func (in *instance) fromMember(q stack.ProcessID) bool {
-	if in.members == nil {
-		return true
-	}
 	for _, m := range in.members {
 		if m == q {
 			return true

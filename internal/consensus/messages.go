@@ -74,7 +74,7 @@ func (m DecideMsg) WireSize() int { return 2 + valueSize(m.Est) }
 //
 // A standalone OpenMsg is the fallback path: announcements first wait
 // (briefly) for a ride on outgoing algorithm traffic as a PiggyMsg, and only
-// destinations that saw no traffic within Config.OpenDelay get the beacon as
+// destinations that saw no traffic within openDelay get the beacon as
 // its own message. One beacon covers many instances: the envelope's Inst
 // field carries the first, Also the rest.
 type OpenMsg struct {

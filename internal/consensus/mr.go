@@ -56,7 +56,7 @@ func newMRInst(in *instance) *mrInst {
 	}
 }
 
-func (m *mrInst) n() int                      { return m.in.nMembers() }
+func (m *mrInst) n() int                      { return len(m.in.members) } // the n of the quorum thresholds
 func (m *mrInst) coord(r int) stack.ProcessID { return m.in.coordOf(r) }
 func (m *mrInst) self() stack.ProcessID       { return m.in.ctx().ID() }
 

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -81,5 +82,29 @@ func TestViewTrafficFromNonMemberDropped(t *testing.T) {
 	decided := h.checkAgreement(t, 1, []stack.ProcessID{1, 2, 3}, proposals)
 	if decided.Key() == "intruder" {
 		t.Fatalf("instance decided the non-member's proposal")
+	}
+}
+
+// TestDecideTargetViews pins how decide dissemination picks its targets: the
+// instance's view alone when it is the latest view (the same slice — no
+// union is built, so the static path allocates nothing), the sorted union
+// of the two otherwise.
+func TestDecideTargetViews(t *testing.T) {
+	old := []stack.ProcessID{1, 2, 3}
+	if !sameView(old, old) || !sameView(nil, nil) {
+		t.Fatal("a view is not the same view as itself")
+	}
+	if sameView(old, []stack.ProcessID{1, 2, 4}) || sameView(old, old[:2]) {
+		t.Fatal("distinct views reported as the same")
+	}
+	for _, tc := range []struct{ a, b, want []stack.ProcessID }{
+		{old, []stack.ProcessID{1, 2, 4}, []stack.ProcessID{1, 2, 3, 4}},
+		{[]stack.ProcessID{2, 5}, []stack.ProcessID{1, 2, 3}, []stack.ProcessID{1, 2, 3, 5}},
+		{old, []stack.ProcessID{1, 2, 3}, old},
+		{old, nil, old},
+	} {
+		if got := unionViews(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("unionViews(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
 	}
 }

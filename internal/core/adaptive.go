@@ -134,31 +134,18 @@ func (e *Engine) SetAntiEntropy(d time.Duration) {
 }
 
 // initAdapt builds the controller and normalizes the initial actuator
-// values into its bounds (called from New when cfg.Adapt is set). The
+// values into its bounds (called from New when cfg.Adaptive is set). The
 // control loop itself is armed at the end of New, once construction can no
 // longer fail: a timer armed earlier would fire on a half-built engine if a
 // later wiring step returned an error.
 func (e *Engine) initAdapt() {
-	e.ctrl = adapt.NewController(*e.cfg.Adapt)
-	acfg := e.ctrl.Config()
-	if e.window < acfg.MinWindow {
-		e.window = acfg.MinWindow
-	}
-	if e.window > acfg.MaxWindow {
-		e.window = acfg.MaxWindow
-	}
-	if e.maxBatch <= 0 {
-		// Unbounded batching absorbs any backlog into ever-larger
-		// proposals, hiding the signal the window controller steers by;
-		// adaptive engines always run with a bounded batch.
-		e.maxBatch = acfg.MinBatch
-	}
-	if e.maxBatch < acfg.MinBatch {
-		e.maxBatch = acfg.MinBatch
-	}
-	if e.maxBatch > acfg.MaxBatchCap {
-		e.maxBatch = acfg.MaxBatchCap
-	}
+	e.ctrl = adapt.NewController()
+	e.window = min(max(e.window, adapt.MinWindow), adapt.MaxWindow)
+	// A zero (unbounded) MaxBatch lands on MinBatch too: unbounded batching
+	// absorbs any backlog into ever-larger proposals, hiding the signal the
+	// window controller steers by, so adaptive engines always run with a
+	// bounded batch.
+	e.maxBatch = min(max(e.maxBatch, adapt.MinBatch), adapt.MaxBatchCap)
 	e.proposedAt = make(map[uint64]time.Time)
 	e.decLat = stats.NewEwma(decLatAlpha)
 }
@@ -167,7 +154,7 @@ func (e *Engine) initAdapt() {
 // control loop never quiesces: an idle engine still samples, which is what
 // lets the window decay back to serial after a burst.
 func (e *Engine) armAdapt() {
-	e.ctx.SetTimer(e.ctrl.Config().Interval, e.adaptTick)
+	e.ctx.SetTimer(adapt.Interval, e.adaptTick)
 }
 
 // adaptTick runs one control-loop round: observe, ask the controller for

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/adapt"
 	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
@@ -22,7 +21,7 @@ import (
 
 // adaptive is a Config mutator enabling the control plane with defaults.
 func adaptive() func(*Config) {
-	return func(cfg *Config) { cfg.Adapt = &adapt.Config{} }
+	return func(cfg *Config) { cfg.Adaptive = true }
 }
 
 // TestAdaptivePartitionKeepsContract: with the controller retargeting the
@@ -128,7 +127,7 @@ func TestRetargetShrinkLosesNothing(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFailedConstructionArmsNoTimer: an errored New with Adapt set
+// TestAdaptiveFailedConstructionArmsNoTimer: an errored New with Adaptive set
 // must not leave the control-tick timer armed — a timer firing on the
 // half-built engine (nil consensus service) would panic the event loop long
 // after the caller handled the constructor error.
@@ -138,7 +137,7 @@ func TestAdaptiveFailedConstructionArmsNoTimer(t *testing.T) {
 	_, err := New(node, Config{
 		Variant:  Variant(99), // unknown: New fails after initAdapt ran
 		Detector: fd.NewHeartbeat(node, fd.DefaultConfig()),
-		Adapt:    &adapt.Config{},
+		Adaptive: true,
 		Deliver:  func(*msg.App) {},
 	})
 	if err == nil {

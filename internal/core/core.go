@@ -114,7 +114,7 @@ type Config struct {
 	// MaxBatch/instance-latency, and W concurrent instances multiply that
 	// ceiling (see the pipeline ablation in internal/bench).
 	Pipeline int
-	// Adapt, when non-nil, enables the adaptive control plane: a feedback
+	// Adaptive enables the adaptive control plane: a feedback
 	// controller (internal/adapt) samples the engine's signals every
 	// control tick — unordered backlog, delivered rate, smoothed
 	// propose→decide latency, per-link RTT estimates — and retargets the
@@ -124,22 +124,38 @@ type Config struct {
 	// starts at the controller's minimum batch, since unbounded batching
 	// hides the backlog signal the controller steers by. See
 	// Engine.Observe, Engine.Retarget and docs/ARCHITECTURE.md.
-	Adapt *adapt.Config
+	Adaptive bool
 	// Recover, when non-nil, enables the recovery subsystem — the relink
 	// reliable-link layer, the consensus decide-relay and the engine's
 	// payload fetch — which restores the model's reliable-channel
 	// assumption over lossy links: with it, correct processes reach full
 	// delivery in total order even across drop-mode (black-hole) network
-	// partitions. See RecoverConfig.
+	// partitions. See RecoverConfig. Snapshot and Persist imply it (see
+	// resolve): nil then means the zero RecoverConfig.
 	Recover *RecoverConfig
+	// Snapshot enables snapshot state transfer on top of the relay/fetch
+	// repairs (implying Recover): a peer behind by more than DecisionLogCap
+	// consensus instances — beyond the decide-relay's horizon — is shipped
+	// the delivered prefix plus engine state (the Raft-snapshot analogue)
+	// instead of a decision replay it can no longer use. Without it,
+	// recovery covers only lags the decision log can replay. See snapshot.go
+	// and docs/ARCHITECTURE.md.
+	Snapshot bool
+	// PreferPeers, when non-empty, lists the repair targets to try first:
+	// both rotating repair paths (payload fetch, decision sync) cycle
+	// through the preferred peers before the rest. The Cluster API fills it
+	// with this process's same-site peers on Topology setups, so repair
+	// traffic stays off the expensive inter-site links when a local peer can
+	// serve it. Peers outside the current view (or self) are ignored; empty
+	// leaves the rotation unchanged, and without recovery it is unused.
+	PreferPeers []stack.ProcessID
 	// Persist, when non-nil, enables crash-recovery persistence with bounded
 	// memory: the engine checkpoints its delivered-prefix digest to the
 	// configured store, prunes payloads and bookkeeping below the boundary
 	// every member has durably passed, and a process restarted with the same
 	// store resumes from its checkpoint and catches the tail through the
-	// recovery paths. Setting it implies Recover with Snapshot enabled (the
-	// restart catch-up path); an explicit Recover still tunes the rest. See
-	// persist.go and internal/persist.
+	// recovery paths. It implies Snapshot (the restart catch-up path; see
+	// resolve). See persist.go and internal/persist.
 	Persist *PersistConfig
 	// Members, when non-nil, enables dynamic membership: the sorted initial
 	// member set (a subset of the universe 1..N; this process need not be in
@@ -152,13 +168,6 @@ type Config struct {
 	// default) is the static full group: no view bookkeeping, no behavioral
 	// change anywhere.
 	Members []stack.ProcessID
-	// ConfigLag is the number of ordering serials between a configuration
-	// change's delivery point and the first consensus instance that uses the
-	// new member set (0 = DefaultConfigLag). It must exceed the largest
-	// pipeline width the run can reach (the adaptive controller's cap
-	// included): instances up to viewFrontier+ConfigLag-1 may be proposed to
-	// concurrently, and their views must already be locally determined.
-	ConfigLag int
 	// Deliver receives adelivered messages, in total order. Configuration
 	// messages are consumed by the engine at the delivery boundary and do
 	// not reach this callback.
@@ -182,6 +191,37 @@ type Config struct {
 	// the Stats views work either way, and updates never allocate or
 	// schedule, so enabling a registry cannot perturb a simulated run.
 	Metrics *metrics.Registry
+
+	// snapshotChunk and snapshotMax bound a snapshot transfer (entries per
+	// chunk message, entries per round; see snapshot.go). Fields rather than
+	// the bare constants resolve fills in only so the in-package multi-round
+	// test can shrink them.
+	snapshotChunk, snapshotMax int
+}
+
+// resolve flattens the implications between the repair features, on the
+// engine's own copy of the configuration: Persist ⇒ Snapshot ⇒ Recover. It is
+// the only place that knows them — callers set exactly the features they
+// were asked for. Recover is replaced by an engine-owned copy either way, so
+// the caller's RecoverConfig is never mutated (initPersist rewires its Link).
+func (c *Config) resolve() {
+	if c.Persist != nil {
+		c.Snapshot = true
+	}
+	if c.snapshotChunk == 0 {
+		c.snapshotChunk = snapshotChunk
+	}
+	if c.snapshotMax == 0 {
+		c.snapshotMax = snapshotMax
+	}
+	if c.Recover == nil && !c.Snapshot {
+		return
+	}
+	rc := RecoverConfig{}
+	if c.Recover != nil {
+		rc = *c.Recover
+	}
+	c.Recover = &rc
 }
 
 // Engine is the per-process atomic broadcast engine (Algorithm 1).
@@ -210,9 +250,8 @@ type Engine struct {
 
 	// Dynamic membership state (Config.Members): the view log — one entry
 	// per applied configuration change, never pruned (a handful of entries
-	// per run) — and the consensus-effect lag. See membership.go.
-	views     []viewRec
-	configLag uint64
+	// per run). See membership.go.
+	views []viewRec
 
 	received  map[msg.ID]*msg.App // receivedp: messages received
 	delivered map[msg.ID]bool     // messages already adelivered
@@ -231,7 +270,7 @@ type Engine struct {
 
 	maxInFlight int // high-water mark of len(inFlight), for tests/diagnostics
 
-	// Adaptive control plane state (Config.Adapt): the controller, the
+	// Adaptive control plane state (Config.Adaptive): the controller, the
 	// propose instants feeding the decision-latency signal, and a retarget
 	// counter for tests. See adaptive.go.
 	ctrl       *adapt.Controller
@@ -254,7 +293,7 @@ type Engine struct {
 	fetches        *metrics.Counter
 	syncReqs       *metrics.Counter
 
-	// Snapshot state (Config.Recover.Snapshot): the ProtoSnapshot sending
+	// Snapshot state (Config.Snapshot): the ProtoSnapshot sending
 	// helper, the delivered-prefix log (delivery order with ordering
 	// serials, the producer side's source of truth), the installer's
 	// in-progress transfer, and counters for tests. See snapshot.go.
@@ -322,20 +361,10 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	if window < 1 {
 		window = 1
 	}
-	if cfg.Persist != nil {
-		if cfg.Persist.Store == nil {
-			return nil, fmt.Errorf("core: Persist with nil Store")
-		}
-		// Persistence implies the recovery subsystem with snapshot transfer
-		// (the restart catch-up path). Work on an engine-owned copy so the
-		// caller's RecoverConfig is never mutated.
-		rc := RecoverConfig{}
-		if cfg.Recover != nil {
-			rc = *cfg.Recover
-		}
-		rc.Snapshot = true
-		cfg.Recover = &rc
+	if cfg.Persist != nil && cfg.Persist.Store == nil {
+		return nil, fmt.Errorf("core: Persist with nil Store")
 	}
+	cfg.resolve()
 	e := &Engine{
 		ctx:       node.Context(),
 		cfg:       cfg,
@@ -369,7 +398,7 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	e.persistErrs = cfg.Metrics.Counter("persist.errors")
 	e.winGauge = cfg.Metrics.Gauge("core.window")
 	e.batchGauge = cfg.Metrics.Gauge("core.max_batch")
-	if cfg.Adapt != nil {
+	if cfg.Adaptive {
 		e.initAdapt()
 	}
 	if cfg.Members != nil {
@@ -414,7 +443,7 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	if cfg.Recover != nil {
 		ccfg.Relay = true
 		ccfg.DecisionLogCap = cfg.Recover.DecisionLogCap
-		if cfg.Recover.Snapshot {
+		if cfg.Snapshot {
 			// Deep lag (a peer behind the decision log's floor) is answered
 			// with a snapshot offer instead of a futile relay.
 			ccfg.OnDeepLag = e.onDeepLag
@@ -548,7 +577,7 @@ func (e *Engine) maybePropose() {
 			continue
 		}
 		if e.dynamic() {
-			if k >= e.viewFrontier()+e.configLag {
+			if k >= e.viewFrontier()+ConfigLag {
 				// Instance k's member set is not locally determined yet: a
 				// configuration change still queued for delivery could take
 				// effect at or below k. Stop proposing until delivery (or
@@ -745,7 +774,7 @@ func (e *Engine) tryDeliver() {
 		delete(e.inOrdered, rec.id)
 		e.markDelivered(rec.id)
 		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindADeliver, ID: rec.id, K: rec.k})
-		if e.snapshotEnabled() {
+		if e.cfg.Snapshot {
 			// The delivered prefix, in order and with ordering serials, is
 			// what snapshot transfers ship; see snapshot.go.
 			e.deliveredLog = append(e.deliveredLog, rec)

@@ -399,3 +399,32 @@ func TestRandomizedSchedules(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigResolve pins the one place the repair features imply each other —
+// Persist ⇒ Snapshot ⇒ Recover — and that resolving never touches the
+// caller's RecoverConfig.
+func TestConfigResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		in                Config
+		recover, snapshot bool
+	}{
+		{"nothing", Config{}, false, false},
+		{"Recover alone", Config{Recover: &RecoverConfig{DecisionLogCap: 7}}, true, false},
+		{"Snapshot alone", Config{Snapshot: true}, true, true},
+		{"Persist alone", Config{Persist: &PersistConfig{}}, true, true},
+		{"Persist with a tuned Recover", Config{Persist: &PersistConfig{}, Recover: &RecoverConfig{DecisionLogCap: 7}}, true, true},
+	} {
+		cfg := tc.in
+		cfg.resolve()
+		if got := cfg.Recover != nil; got != tc.recover || cfg.Snapshot != tc.snapshot {
+			t.Errorf("%s: recovery %v snapshot %v, want %v %v", tc.name, got, cfg.Snapshot, tc.recover, tc.snapshot)
+		}
+		if (cfg.Persist != nil) != (tc.in.Persist != nil) {
+			t.Errorf("%s: resolve toggled Persist", tc.name)
+		}
+		if tc.in.Recover != nil && (cfg.Recover == tc.in.Recover || cfg.Recover.DecisionLogCap != 7) {
+			t.Errorf("%s: the engine's RecoverConfig must be its own copy of the caller's tuning", tc.name)
+		}
+	}
+}

@@ -46,16 +46,23 @@ import (
 	"fmt"
 	"sort"
 
+	"abcast/internal/adapt"
 	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
 )
 
-// DefaultConfigLag is the default delivery-point→quorum-switch distance. It
-// comfortably exceeds adapt.DefaultMaxWindow (8), so the propose gate never
-// binds before the pipeline window does.
-const DefaultConfigLag = 32
+// ConfigLag is the number of ordering serials between a configuration
+// change's delivery point and the first consensus instance that uses the new
+// member set. Instances up to viewFrontier+ConfigLag-1 may be proposed to
+// concurrently — their views are already locally determined — so the propose
+// gate binds before the pipeline window does only if the window reaches
+// ConfigLag; it comfortably exceeds the adaptive controller's cap, which the
+// declaration below checks at compile time.
+const ConfigLag = 32
+
+const _ = uint(ConfigLag - adapt.MaxWindow - 1) // ConfigLag > adapt.MaxWindow
 
 // viewRec is one entry of the view log: the member set in force for
 // consensus instances k with eff ≤ k < next entry's eff.
@@ -81,10 +88,6 @@ func (e *Engine) initMembership() error {
 		if i > 0 && members[i-1] == q {
 			return fmt.Errorf("core: duplicate member %d", q)
 		}
-	}
-	e.configLag = uint64(e.cfg.ConfigLag)
-	if e.configLag == 0 {
-		e.configLag = DefaultConfigLag
 	}
 	e.views = []viewRec{{eff: 1, members: members}}
 	e.applyGroup(members)
@@ -155,7 +158,7 @@ func (e *Engine) applyConfig(k uint64, ch *msg.ConfigChange) {
 	if len(next) == 0 {
 		return
 	}
-	eff := k + e.configLag
+	eff := k + ConfigLag
 	e.views = append(e.views, viewRec{eff: eff, members: next})
 	e.applyGroup(next)
 	// Drive the pipeline to the switch: the new view takes effect only once

@@ -36,7 +36,7 @@ func withMembers(members ...stack.ProcessID) func(*Config) {
 
 // withRecovery enables the recovery subsystem with defaults.
 func withRecovery(snapshot bool) func(*Config) {
-	return func(cfg *Config) { cfg.Recover = &RecoverConfig{Snapshot: snapshot} }
+	return func(cfg *Config) { cfg.Recover, cfg.Snapshot = &RecoverConfig{}, snapshot }
 }
 
 // config schedules process p to broadcast a membership change after d.
@@ -194,7 +194,7 @@ func TestJoinDeepLagSnapshot(t *testing.T) {
 		c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), seed,
 			withMembers(1, 2, 3), pipelined(2, 2),
 			func(cfg *Config) {
-				cfg.Recover = &RecoverConfig{DecisionLogCap: 4, Snapshot: true}
+				cfg.Recover, cfg.Snapshot = &RecoverConfig{DecisionLogCap: 4}, true
 			})
 
 		var sent []msg.ID

@@ -60,9 +60,10 @@ import (
 // trades restart redelivery length against store traffic, nothing else.
 const DefaultCheckpointInterval = 250 * time.Millisecond
 
-// PersistConfig enables crash-recovery persistence and bounded memory.
-// Setting it implies the recovery subsystem with snapshot transfer (the
-// restart catch-up path); Config.Recover may still be set to tune it.
+// PersistConfig enables crash-recovery persistence and bounded memory. It
+// implies the recovery subsystem with snapshot transfer (the restart
+// catch-up path; see Config.resolve); Config.Recover may still be set to
+// tune it.
 type PersistConfig struct {
 	// Store is the checkpoint/WAL store: a persist.MemStore for restart
 	// within the OS process (simulator, tests, bench), a persist.FileStore

@@ -290,7 +290,8 @@ func TestRestartFromCheckpointFile(t *testing.T) {
 func TestNextPeerPrefersConfigured(t *testing.T) {
 	pref := newCluster(t, 4, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 3,
 		func(cfg *Config) {
-			cfg.Recover = &RecoverConfig{PreferPeers: []stack.ProcessID{1, 3, 9}}
+			cfg.Recover = &RecoverConfig{}
+			cfg.PreferPeers = []stack.ProcessID{1, 3, 9}
 		})
 	e := pref.engines[1]
 	if got := e.nextPeer(0); got != 3 {

@@ -21,7 +21,7 @@ package core
 //
 // Both directions resolve the same way: the engine notes the identifiers it
 // is missing (the blocked head of the ordered queue, and every identifier a
-// failed rcv check reveals), and past FetchDelay asks a peer for them by
+// failed rcv check reveals), and past fetchDelay asks a peer for them by
 // identifier (FetchMsg); the peer answers with the messages it holds
 // (SupplyMsg). Supplied messages enter through the normal R-deliver path, so
 // integrity, ordering and re-proposal are untouched.
@@ -52,58 +52,25 @@ import (
 type RecoverConfig struct {
 	// Link tunes the reliable-link layer (zero values = relink defaults).
 	Link relink.Config
-	// FetchDelay is how long the engine stays blocked on a missing payload
-	// before fetching it from a peer, and the retry cadence thereafter
-	// (0 = DefaultFetchDelay). It should comfortably exceed normal
-	// diffusion latency so fetches fire only on genuine loss.
-	FetchDelay time.Duration
 	// DecisionLogCap bounds the consensus decide-relay's decision log
 	// (0 = consensus.DefaultLogCap).
 	DecisionLogCap int
-	// RediffuseDelay is how long a received message may sit unordered
-	// before this process re-R-broadcasts it (0 = DefaultRediffuseDelay).
-	// The reliable broadcasts relay only on first receipt, so a message
-	// whose relays were black-holed and evicted is otherwise never offered
-	// to the other side again — and an identifier nobody else holds the
-	// message for is never ordered (the round-1 coordinator only proposes
-	// its own estimate, so Validity rides on diffusion completing).
-	RediffuseDelay time.Duration
-	// Snapshot enables snapshot state transfer on top of the relay/fetch
-	// repairs: a peer behind by more than DecisionLogCap consensus
-	// instances — beyond the decide-relay's horizon — is shipped the
-	// delivered prefix plus engine state (the Raft-snapshot analogue)
-	// instead of a decision replay it can no longer use. Off by default;
-	// without it, recovery covers only lags the decision log can replay.
-	// See snapshot.go and docs/ARCHITECTURE.md.
-	Snapshot bool
-	// SnapshotChunk caps entries per snapshot chunk message
-	// (0 = DefaultSnapshotChunk); the transfer is split into ceil(n/chunk)
-	// SnapChunkMsgs so no single envelope carries an unbounded payload.
-	SnapshotChunk int
-	// SnapshotMax caps entries per snapshot round (0 = DefaultSnapshotMax).
-	// A gap larger than the cap is closed over several offer/accept rounds,
-	// each truncated at a consensus-instance boundary, bounding producer
-	// burst and installer buffering regardless of how far behind the peer
-	// is.
-	SnapshotMax int
-	// PreferPeers, when non-empty, lists the repair targets to try first:
-	// both rotating repair paths (payload fetch, decision sync) cycle
-	// through the preferred peers before the rest. The Cluster API fills it
-	// with this process's same-site peers on Topology setups, so repair
-	// traffic stays off the expensive inter-site links when a local peer can
-	// serve it. Peers outside the current view (or self) are ignored; empty
-	// leaves the rotation unchanged.
-	PreferPeers []stack.ProcessID
 }
 
-// DefaultFetchDelay is the default blocked-head fetch delay: far above any
-// LAN/WAN diffusion latency, so it only fires on genuine loss.
-const DefaultFetchDelay = 100 * time.Millisecond
+// fetchDelay is how long the engine stays blocked on a missing payload
+// before fetching it from a peer, and the retry cadence thereafter: far above
+// any LAN/WAN diffusion latency, so it only fires on genuine loss.
+const fetchDelay = 100 * time.Millisecond
 
-// DefaultRediffuseDelay is the default unordered-too-long re-diffusion
-// delay. Ordering normally completes within a couple of consensus round
-// trips, so only messages stranded by loss are re-offered.
-const DefaultRediffuseDelay = 400 * time.Millisecond
+// rediffuseDelay is how long a received message may sit unordered before
+// this process re-R-broadcasts it. The reliable broadcasts relay only on
+// first receipt, so a message whose relays were black-holed and evicted is
+// otherwise never offered to the other side again — and an identifier nobody
+// else holds the message for is never ordered (the round-1 coordinator only
+// proposes its own estimate, so Validity rides on diffusion completing).
+// Ordering normally completes within a couple of consensus round trips, so
+// only messages stranded by loss are re-offered.
+const rediffuseDelay = 400 * time.Millisecond
 
 // rediffuseBatch caps re-diffusions per tick, bounding the post-heal burst.
 const rediffuseBatch = 64
@@ -149,7 +116,7 @@ func (e *Engine) initRecovery(node *stack.Node) {
 	e.link = relink.New(node, lcfg)
 	e.sync = node.Proto(stack.ProtoSync)
 	node.Register(stack.ProtoSync, stack.HandlerFunc(e.onSync))
-	if e.cfg.Recover.Snapshot {
+	if e.cfg.Snapshot {
 		e.snap = node.Proto(stack.ProtoSnapshot)
 		node.Register(stack.ProtoSnapshot, stack.HandlerFunc(e.onSnapshot))
 	}
@@ -162,14 +129,6 @@ func (e *Engine) LinkStats() relink.Stats {
 		return relink.Stats{}
 	}
 	return e.link.Stats()
-}
-
-// fetchDelay returns the configured blocked-head fetch delay.
-func (e *Engine) fetchDelay() time.Duration {
-	if d := e.cfg.Recover.FetchDelay; d > 0 {
-		return d
-	}
-	return DefaultFetchDelay
 }
 
 // noteWanted records identifiers a failed rcv check revealed as proposed by
@@ -205,10 +164,10 @@ func (e *Engine) armFetch() {
 		return
 	}
 	e.fetchArmed = true
-	e.ctx.SetTimer(e.fetchDelay(), e.fetchTick)
+	e.ctx.SetTimer(fetchDelay, e.fetchTick)
 }
 
-// fetchTick fires after FetchDelay of unresolved loss: request the missing
+// fetchTick fires after fetchDelay of unresolved loss: request the missing
 // payloads from one peer, rotating the target each attempt so a crashed or
 // equally-behind peer cannot starve recovery.
 func (e *Engine) fetchTick() {
@@ -267,7 +226,7 @@ func (e *Engine) fetchTick() {
 // peer is available.
 func (e *Engine) nextPeer(attempt int) stack.ProcessID {
 	self := e.ctx.ID()
-	prefer := e.cfg.Recover.PreferPeers
+	prefer := e.cfg.PreferPeers
 	if e.dynamic() {
 		peers := make([]stack.ProcessID, 0, len(e.views[len(e.views)-1].members))
 		for _, q := range e.views[len(e.views)-1].members {
@@ -340,7 +299,7 @@ func (e *Engine) armSyncReq() {
 		return
 	}
 	e.syncArmed = true
-	e.ctx.SetTimer(e.fetchDelay(), e.syncTick)
+	e.ctx.SetTimer(fetchDelay, e.syncTick)
 }
 
 // syncTick requests the missing decisions from one peer, rotating the
@@ -369,14 +328,6 @@ func (e *Engine) syncTick() {
 	e.armSyncReq()
 }
 
-// rediffuseDelay returns the configured unordered re-diffusion delay.
-func (e *Engine) rediffuseDelay() time.Duration {
-	if d := e.cfg.Recover.RediffuseDelay; d > 0 {
-		return d
-	}
-	return DefaultRediffuseDelay
-}
-
 // noteUnordered timestamps an identifier's entry into the unordered set and
 // arms the re-diffusion check. No-op unless recovery is enabled.
 func (e *Engine) noteUnordered(id msg.ID) {
@@ -396,11 +347,11 @@ func (e *Engine) armRediffuse() {
 		return
 	}
 	e.rediffArmed = true
-	e.ctx.SetTimer(e.rediffuseDelay(), e.rediffuseTick)
+	e.ctx.SetTimer(rediffuseDelay, e.rediffuseTick)
 }
 
 // rediffuseTick re-R-broadcasts messages that have sat unordered for at
-// least RediffuseDelay, then re-arms while unordered identifiers remain.
+// least rediffuseDelay, then re-arms while unordered identifiers remain.
 // Scanning in canonical identifier order keeps the simulation
 // deterministic.
 func (e *Engine) rediffuseTick() {
@@ -409,21 +360,20 @@ func (e *Engine) rediffuseTick() {
 		return
 	}
 	now := e.ctx.Now()
-	delay := e.rediffuseDelay()
 	sent := 0
 	for _, id := range e.unordered.IDs() {
 		if sent == rediffuseBatch {
 			break
 		}
 		since, ok := e.unorderedSince[id]
-		if !ok || now.Sub(since) < delay {
+		if !ok || now.Sub(since) < rediffuseDelay {
 			continue
 		}
 		if app := e.received[id]; app != nil {
 			e.rb.Rebroadcast(app)
 			e.rediffusions.Inc()
 			e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRediffuse, ID: id})
-			e.unorderedSince[id] = now // next offer no sooner than +delay
+			e.unorderedSince[id] = now // next offer no sooner than +rediffuseDelay
 			sent++
 		}
 	}

@@ -24,7 +24,7 @@ package core
 //	  │  ◀────────────  SnapOfferMsg{boundary, entries}
 //	  │  SnapAcceptMsg{delivered} ───▶     (how much prefix I already have)
 //	  │  ◀────────────  SnapChunkMsg × n   (bounded chunks, one round
-//	  │                                     truncated at SnapshotMax entries,
+//	  │                                     truncated at snapshotMax entries,
 //	  │                                     always on an instance boundary)
 //	  ▼  install: atomically advance kNext past the snapshot boundary,
 //	     reconcile in-flight proposals / pending decisions / unordered ids,
@@ -33,8 +33,8 @@ package core
 // The offer/accept round trip exists because the producer does not know how
 // much prefix the peer already delivered; the accept names the position to
 // stream from, so a snapshot never re-ships what the peer holds. Transfers
-// are bounded twice over: each chunk carries at most SnapshotChunk entries,
-// and each round at most SnapshotMax — a deeper gap is closed over several
+// are bounded twice over: each chunk carries at most snapshotChunk entries,
+// and each round at most snapshotMax — a deeper gap is closed over several
 // rounds (More flag), each re-requested by the installer, so neither side
 // ever buffers an unbounded transfer. Lost offers, accepts, or chunks are
 // all survivable: the installer keeps the engine's sync-request timer armed
@@ -56,13 +56,20 @@ import (
 	"abcast/internal/trace"
 )
 
-// Snapshot transfer defaults.
+// Snapshot transfer bounds (Config.snapshotChunk / Config.snapshotMax).
 const (
-	// DefaultSnapshotChunk is the default cap on entries per SnapChunkMsg.
-	DefaultSnapshotChunk = 256
-	// DefaultSnapshotMax is the default cap on entries per snapshot round;
-	// deeper gaps take several offer/accept rounds.
-	DefaultSnapshotMax = 2048
+	// snapshotChunk caps entries per SnapChunkMsg; the transfer is split into
+	// ceil(n/chunk) chunks so no single envelope carries an unbounded
+	// payload.
+	snapshotChunk = 256
+	// snapshotMax caps entries per snapshot round. A gap larger than the cap
+	// is closed over several offer/accept rounds, each truncated at a
+	// consensus-instance boundary, bounding producer burst and installer
+	// buffering regardless of how far behind the peer is.
+	snapshotMax = 2048
+	// snapStallDelay is how long an accepted transfer may sit incomplete
+	// before a competing offer is allowed to restart it.
+	snapStallDelay = 4 * fetchDelay
 )
 
 // SnapOfferMsg tells a deeply lagged peer that the sender can snapshot it
@@ -113,7 +120,7 @@ func (en SnapEntry) wireSize() int {
 
 // SnapChunkMsg carries one bounded slice of a snapshot transfer. All chunks
 // of one transfer share (Boundary, Start, Total); Seq orders them. More
-// marks a round truncated at the producer's SnapshotMax — the installer
+// marks a round truncated at the producer's snapshotMax — the installer
 // re-requests after installing, and the next round continues from its new
 // delivered count.
 type SnapChunkMsg struct {
@@ -133,31 +140,6 @@ func (m SnapChunkMsg) WireSize() int {
 	}
 	return size
 }
-
-// snapshotEnabled reports whether snapshot state transfer is configured.
-func (e *Engine) snapshotEnabled() bool {
-	return e.cfg.Recover != nil && e.cfg.Recover.Snapshot
-}
-
-// snapshotChunk returns the configured entries-per-chunk cap.
-func (e *Engine) snapshotChunk() int {
-	if c := e.cfg.Recover.SnapshotChunk; c > 0 {
-		return c
-	}
-	return DefaultSnapshotChunk
-}
-
-// snapshotMax returns the configured entries-per-round cap.
-func (e *Engine) snapshotMax() int {
-	if c := e.cfg.Recover.SnapshotMax; c > 0 {
-		return c
-	}
-	return DefaultSnapshotMax
-}
-
-// snapStallDelay is how long an accepted transfer may sit incomplete before
-// a competing offer is allowed to restart it.
-func (e *Engine) snapStallDelay() time.Duration { return 4 * e.fetchDelay() }
 
 // SnapshotStats reports snapshot counters for tests and diagnostics: rounds
 // served to lagging peers, and rounds installed locally.
@@ -196,7 +178,7 @@ func (e *Engine) onSnapOffer(from stack.ProcessID, m SnapOfferMsg) {
 	if m.Boundary <= e.kNext {
 		return // not behind this producer (or not anymore)
 	}
-	if e.snapFrom != 0 && e.ctx.Now().Sub(e.snapStarted) < e.snapStallDelay() {
+	if e.snapFrom != 0 && e.ctx.Now().Sub(e.snapStarted) < snapStallDelay {
 		return // a transfer is in progress and not stalled; ignore competing offers
 	}
 	e.resetTransfer()
@@ -213,7 +195,7 @@ func (e *Engine) onSnapOffer(from stack.ProcessID, m SnapOfferMsg) {
 
 // serveSnapshot streams one bounded snapshot round to q: the decided
 // sequence from position `from`, truncated at an instance boundary once
-// SnapshotMax entries are exceeded, split into SnapshotChunk-sized chunks.
+// snapshotMax entries are exceeded, split into snapshotChunk-sized chunks.
 func (e *Engine) serveSnapshot(q stack.ProcessID, from uint64) {
 	total := e.logBase + uint64(len(e.deliveredLog)+len(e.ordered))
 	if q == e.ctx.ID() || from >= total {
@@ -226,7 +208,7 @@ func (e *Engine) serveSnapshot(q stack.ProcessID, from uint64) {
 		// prefix is checkpointed by everyone and needed by no one.
 		from = e.logBase
 	}
-	maxEntries := e.snapshotMax()
+	maxEntries := e.cfg.snapshotMax
 	boundary := e.kNext
 	more := false
 	recs := make([]ordRec, 0, min(total-from, uint64(maxEntries)+1))
@@ -253,7 +235,7 @@ func (e *Engine) serveSnapshot(q stack.ProcessID, from uint64) {
 		}
 		entries[i] = en
 	}
-	chunk := e.snapshotChunk()
+	chunk := e.cfg.snapshotChunk
 	totalChunks := (len(entries) + chunk - 1) / chunk
 	for i := 0; i < totalChunks; i++ {
 		lo, hi := i*chunk, (i+1)*chunk

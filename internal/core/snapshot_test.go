@@ -1,6 +1,6 @@
 package core
 
-// Property tests of snapshot state transfer (RecoverConfig.Snapshot): a
+// Property tests of snapshot state transfer (Config.Snapshot): a
 // drop-partitioned minority that falls behind by more consensus instances
 // than the decide-relay's decision log retains is beyond every replay-based
 // repair — the decisions it needs first are evicted, and its own instances
@@ -34,18 +34,11 @@ import (
 // capped so the majority burns through many instances during the cut, a
 // 4-instance decision log so those instances fall off the relay's horizon,
 // and 8-entry retransmission buffers so eviction destroys the replay window.
-func deepLagCfg(snapshot bool, mutate ...func(*RecoverConfig)) func(*Config) {
+func deepLagCfg(snapshot bool) func(*Config) {
 	return func(cfg *Config) {
 		cfg.MaxBatch = 2
-		rc := &RecoverConfig{
-			Link:           relink.Config{BufferCap: 8},
-			DecisionLogCap: 4,
-			Snapshot:       snapshot,
-		}
-		for _, m := range mutate {
-			m(rc)
-		}
-		cfg.Recover = rc
+		cfg.Recover = &RecoverConfig{Link: relink.Config{BufferCap: 8}, DecisionLogCap: 4}
+		cfg.Snapshot = snapshot
 	}
 }
 
@@ -185,24 +178,21 @@ func TestDeepLagRelayOnlyCannotCatchUp(t *testing.T) {
 }
 
 // TestSnapshotMultiRoundChunkedTransfer forces the bounded-transfer paths:
-// with SnapshotMax=4 the gap takes several offer/accept rounds (each
+// with snapshotMax=4 the gap takes several offer/accept rounds (each
 // truncated at an instance boundary, re-requested by the installer), and
-// with SnapshotChunk=2 every round is split into multiple chunk messages.
+// with snapshotChunk=2 every round is split into multiple chunk messages.
 // Catch-up must still converge to full delivery, and the installer must
 // have applied several rounds.
 func TestSnapshotMultiRoundChunkedTransfer(t *testing.T) {
-	bound := func(rc *RecoverConfig) {
-		rc.SnapshotMax = 4
-		rc.SnapshotChunk = 2
-	}
-	c, sent, _ := deepLagRun(t, 2, true, deepLagCfg(true, bound))
+	bound := func(cfg *Config) { cfg.snapshotMax, cfg.snapshotChunk = 4, 2 }
+	c, sent, _ := deepLagRun(t, 2, true, deepLagCfg(true), bound)
 	all := procs(1, 2, 3)
 	c.checkTotalOrder(t, all)
 	c.checkIntegrity(t, all)
 	c.checkDelivers(t, all, sent)
 	_, installed := c.engines[3].SnapshotStats()
 	if installed < 2 {
-		t.Fatalf("installed %d snapshot rounds, want ≥ 2 (SnapshotMax must force multi-round transfer)", installed)
+		t.Fatalf("installed %d snapshot rounds, want ≥ 2 (snapshotMax must force multi-round transfer)", installed)
 	}
 }
 

@@ -22,7 +22,6 @@ type Option func(*config)
 
 type config struct {
 	latency time.Duration
-	jitter  time.Duration
 	topo    *netmodel.Topology
 	seed    int64
 }
@@ -30,13 +29,10 @@ type config struct {
 // WithLatency sets the one-way message latency (default 200µs).
 func WithLatency(d time.Duration) Option { return func(c *config) { c.latency = d } }
 
-// WithJitter adds uniform ±jitter to each message's latency.
-func WithJitter(d time.Duration) Option { return func(c *config) { c.jitter = d } }
-
 // WithTopology gives each directed link the latency and jitter of the
-// topology's site-pair link, overriding the uniform WithLatency/WithJitter
-// values (link bandwidth is not modelled on the live runtime — messages
-// cross an in-memory channel, so transmission time is effectively zero).
+// topology's site-pair link, overriding the uniform WithLatency value (link
+// bandwidth is not modelled on the live runtime — messages cross an
+// in-memory channel, so transmission time is effectively zero).
 // A nil topology leaves the uniform network in place.
 func WithTopology(t *netmodel.Topology) Option { return func(c *config) { c.topo = t } }
 
@@ -152,8 +148,7 @@ func (net *Network) Close() {
 // configured latency, in per-link FIFO order (like a TCP connection).
 func (net *Network) send(from, to stack.ProcessID, env stack.Envelope) {
 	src, dst := net.procs[from], net.procs[to]
-	d := net.cfg.latency
-	j := net.cfg.jitter
+	d, j := net.cfg.latency, time.Duration(0)
 	if t := net.cfg.topo; t != nil {
 		l := t.LinkOf(from, to)
 		d, j = l.Latency, l.Jitter

@@ -1,5 +1,5 @@
 // Package metrics is a small deterministic metrics registry: named
-// counters, gauges and bounded histograms that the protocol layers (core,
+// counters and gauges that the protocol layers (core,
 // consensus, relink, fd, persist, simnet) register into, forming one
 // catalog instead of scattered per-layer counter fields.
 //
@@ -73,61 +73,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram counts observations into a fixed set of upper-bound buckets
-// (plus an overflow bucket), tracking count and sum exactly. Bounds are
-// inclusive upper edges in ascending order.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []int64
-	counts []int64 // len(bounds)+1; last = overflow
-	count  int64
-	sum    int64
-}
-
-func newHistogram(bounds []int64) *Histogram {
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-}
-
-// Observe records one observation. Safe on a nil histogram.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// HistSnapshot is a point-in-time copy of a histogram.
-type HistSnapshot struct {
-	Count  int64
-	Sum    int64
-	Bounds []int64 // ascending upper edges
-	Counts []int64 // len(Bounds)+1; last = overflow
-}
-
-// Snapshot returns a copy of the histogram's state (zero on nil).
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistSnapshot{
-		Count:  h.count,
-		Sum:    h.sum,
-		Bounds: append([]int64(nil), h.bounds...),
-		Counts: append([]int64(nil), h.counts...),
-	}
-	return s
-}
-
 // Registry holds the named metrics of one process. The zero value is not
 // used directly — call New — but a nil *Registry is the disabled state:
 // every lookup returns a standalone handle that works and is simply not
@@ -136,7 +81,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // New returns an empty registry.
@@ -144,7 +88,6 @@ func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -180,81 +123,37 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, registering it with the given
-// bucket bounds on first use (later callers share the first bounds). On a
-// nil registry it returns a fresh standalone histogram.
-func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
-	if r == nil {
-		return newHistogram(bounds)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Names returns the sorted catalog of registered metric names (histograms
-// appear under their base name).
+// Names returns the sorted catalog of registered metric names.
 func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.gauges))
 	for n := range r.counters {
 		names = append(names, n)
 	}
 	for n := range r.gauges {
 		names = append(names, n)
 	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
 	sort.Strings(names)
 	return names
 }
 
-// Snapshot returns every cell's current value: counters and gauges under
-// their name, histograms expanded to <name>.count, <name>.sum and one
-// <name>.le_<bound> (or .le_inf) cell per bucket.
+// Snapshot returns every cell's current value under its name.
 func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
+	defer r.mu.Unlock()
+	out := make(map[string]int64, len(r.counters)+len(r.gauges))
 	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	r.mu.Unlock()
-	out := make(map[string]int64)
-	for n, c := range counters {
 		out[n] = c.Value()
 	}
-	for n, g := range gauges {
+	for n, g := range r.gauges {
 		out[n] = g.Value()
-	}
-	for n, h := range hists {
-		s := h.Snapshot()
-		out[n+".count"] = s.Count
-		out[n+".sum"] = s.Sum
-		for i, b := range s.Bounds {
-			out[fmt.Sprintf("%s.le_%d", n, b)] = s.Counts[i]
-		}
-		out[n+".le_inf"] = s.Counts[len(s.Counts)-1]
 	}
 	return out
 }

@@ -22,11 +22,6 @@ func TestNilRegistryHandlesWork(t *testing.T) {
 	if g.Value() != 7 {
 		t.Fatalf("standalone gauge = %d, want 7", g.Value())
 	}
-	h := r.Histogram("z", 10, 100)
-	h.Observe(5)
-	if s := h.Snapshot(); s.Count != 1 || s.Sum != 5 {
-		t.Fatalf("standalone histogram snapshot = %+v", s)
-	}
 	if r.Names() != nil || r.Snapshot() != nil {
 		t.Fatal("nil registry should report no catalog")
 	}
@@ -42,11 +37,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	g.Set(3)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge")
-	}
-	var h *Histogram
-	h.Observe(1)
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Fatal("nil histogram")
 	}
 }
 
@@ -67,33 +57,13 @@ func TestRegistryDedupAndCatalog(t *testing.T) {
 	}
 	a.Add(4)
 	r.Gauge("core.window").Set(2)
-	r.Histogram("core.batch_size", 1, 4).Observe(3)
-	want := []string{"core.batch_size", "core.delivered", "core.window"}
+	want := []string{"core.delivered", "core.window"}
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names = %v, want %v", got, want)
 	}
 	snap := r.Snapshot()
 	if snap["core.delivered"] != 4 || snap["core.window"] != 2 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	if snap["core.batch_size.count"] != 1 || snap["core.batch_size.sum"] != 3 ||
-		snap["core.batch_size.le_1"] != 0 || snap["core.batch_size.le_4"] != 1 ||
-		snap["core.batch_size.le_inf"] != 0 {
-		t.Fatalf("histogram expansion = %v", snap)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]int64{10, 100, 1000})
-	for _, v := range []int64{1, 10, 11, 100, 5000} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 5 || s.Sum != 5122 {
-		t.Fatalf("count/sum = %d/%d", s.Count, s.Sum)
-	}
-	if !reflect.DeepEqual(s.Counts, []int64{2, 2, 0, 1}) {
-		t.Fatalf("bucket counts = %v", s.Counts)
 	}
 }
 

@@ -18,18 +18,18 @@
 //   - the receiver tracks, per peer, the contiguous prefix it has seen and
 //     the out-of-order sequence numbers beyond it; duplicates are dropped, so
 //     upper layers still see each message at most once;
-//   - on a timer (Config.Interval), both ends run anti-entropy: receivers
-//     with gaps or un-acknowledged progress send a digest (AckMsg: cumulative
-//     prefix + the sparse set above it), and senders with unacknowledged data
-//     probe (ProbeMsg: highest sequence sent + eviction watermark). A digest
-//     tells the sender exactly what is missing; it retransmits those
-//     envelopes and trims what was received.
+//   - on a timer (every 100 ms until SetInterval retargets it), both ends
+//     run anti-entropy: receivers with gaps or un-acknowledged progress send
+//     a digest (AckMsg: cumulative prefix + the sparse set above it), and
+//     senders with unacknowledged data probe (ProbeMsg: highest sequence
+//     sent + eviction watermark). A digest tells the sender exactly what is
+//     missing; it retransmits those envelopes and trims what was received.
 //
 // The exchange is receiver-driven where possible (no per-message timers) and
 // quiesces completely: once all streams are acknowledged and gap-free, no
 // further control traffic is generated. A peer that stops answering
 // altogether (it crashed, or a cut is outlasting the probes) is probed at
-// most Config.MaxProbes consecutive times and then left alone until fresh
+// most maxProbes consecutive times and then left alone until fresh
 // traffic to it — which the broadcast-to-all protocol layers above keep
 // generating while the system is active — re-earns the budget, so a dead
 // peer cannot keep the link ticking forever.
@@ -61,35 +61,12 @@ import (
 	"abcast/internal/trace"
 )
 
-// Config parameterizes a Link. The zero value selects the defaults.
+// Config parameterizes a Link. The zero value is valid.
 type Config struct {
 	// BufferCap is the maximum number of unacknowledged envelopes retained
 	// per peer for retransmission; beyond it the oldest are evicted
-	// (default DefaultBufferCap).
+	// (0 = DefaultBufferCap).
 	BufferCap int
-	// Interval is the anti-entropy cadence: how often receivers digest and
-	// senders probe. It doubles as the retransmission guard — an envelope
-	// (re)sent within the last Interval is not retransmitted again, so an
-	// in-flight copy is not duplicated by a digest that predates it
-	// (default DefaultInterval).
-	Interval time.Duration
-	// Burst caps retransmissions per processed digest, bounding the load
-	// spike when a long gap is repaired after a heal; the next anti-entropy
-	// round picks up where the burst stopped (default DefaultBurst).
-	Burst int
-	// HaveCap bounds the per-peer set of out-of-order sequence numbers a
-	// receiver tracks; beyond it the oldest gap is declared lost (default
-	// DefaultHaveCap).
-	HaveCap int
-	// MaxProbes bounds consecutive unanswered probes per outgoing stream:
-	// a peer that answers nothing for that many anti-entropy rounds (it
-	// has crashed, or the cut is outlasting the probes) stops being
-	// probed, so the link still quiesces with a dead peer in the group.
-	// Any fresh send to the peer, or any digest from it, resets the
-	// budget — which is what re-triggers repair after a long cut heals,
-	// since the protocol layers above keep broadcasting to every process
-	// (default DefaultMaxProbes).
-	MaxProbes int
 	// StartSeq is the first sequence number new outgoing streams assign
 	// (default 1). A restarted process must resume *above* every sequence
 	// number its previous incarnation ever used: receivers remember the
@@ -112,37 +89,33 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// Defaults for the zero Config.
-const (
-	DefaultBufferCap = 1024
-	DefaultInterval  = 100 * time.Millisecond
-	DefaultBurst     = 256
-	DefaultHaveCap   = 4096
-	DefaultMaxProbes = 25
-)
+// DefaultBufferCap is the retransmission buffer capacity of the zero Config.
+const DefaultBufferCap = 1024
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.BufferCap <= 0 {
-		c.BufferCap = DefaultBufferCap
-	}
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.Burst <= 0 {
-		c.Burst = DefaultBurst
-	}
-	if c.HaveCap <= 0 {
-		c.HaveCap = DefaultHaveCap
-	}
-	if c.MaxProbes <= 0 {
-		c.MaxProbes = DefaultMaxProbes
-	}
-	if c.StartSeq == 0 {
-		c.StartSeq = 1
-	}
-	return c
-}
+// Fixed link tuning.
+const (
+	// initialInterval is the anti-entropy cadence a link starts at: how often
+	// receivers digest and senders probe (SetInterval retargets it at
+	// runtime). The cadence doubles as the retransmission guard — an
+	// envelope (re)sent within the last interval is not retransmitted again,
+	// so an in-flight copy is not duplicated by a digest that predates it.
+	initialInterval = 100 * time.Millisecond
+	// burst caps retransmissions per processed digest, bounding the load
+	// spike when a long gap is repaired after a heal; the next anti-entropy
+	// round picks up where the burst stopped.
+	burst = 256
+	// haveCap bounds the per-peer set of out-of-order sequence numbers a
+	// receiver tracks; beyond it the oldest gap is declared lost.
+	haveCap = 4096
+	// maxProbes bounds consecutive unanswered probes per outgoing stream: a
+	// peer that answers nothing for that many anti-entropy rounds (it has
+	// crashed, or the cut is outlasting the probes) stops being probed, so
+	// the link still quiesces with a dead peer in the group. Any fresh send
+	// to the peer, or any digest from it, resets the budget — which is what
+	// re-triggers repair after a long cut heals, since the protocol layers
+	// above keep broadcasting to every process.
+	maxProbes = 25
+)
 
 // reserveSlack is the size of each sequence-number block claimed through
 // Config.OnReserve: large enough that steady traffic reserves rarely, small
@@ -199,7 +172,7 @@ type Stats struct {
 	// Duplicates counts received envelopes dropped as already-delivered.
 	Duplicates int64
 	// GiveUps counts sequence numbers a receiver stopped waiting for
-	// because the sender's watermark passed them (or HaveCap overflowed).
+	// because the sender's watermark passed them (or haveCap overflowed).
 	GiveUps int64
 	// Probes and Acks count control messages sent.
 	Probes int64
@@ -220,8 +193,8 @@ type outStream struct {
 	entries []*outEntry
 	live    int // non-nil entries
 	// unanswered counts consecutive probes with no digest back; at
-	// Config.MaxProbes the stream stops probing until fresh traffic or a
-	// digest resets it (see Config.MaxProbes).
+	// maxProbes the stream stops probing until fresh traffic or a digest
+	// resets it.
 	unanswered int
 	// probeAt is when the oldest unanswered probe of the current exchange
 	// was sent (zero = no probe outstanding); the next digest from the peer
@@ -258,6 +231,11 @@ type Link struct {
 	node *stack.Node
 	ctx  stack.Context
 	cfg  Config
+	// interval is the current anti-entropy cadence (see SetInterval);
+	// maxProbes is the probe budget, a field only so the in-package test can
+	// shorten it.
+	interval  time.Duration
+	maxProbes int
 
 	out map[stack.ProcessID]*outStream
 	in  map[stack.ProcessID]*inStream
@@ -293,13 +271,22 @@ const rttAlpha = 0.125
 //
 //abcheck:entry constructor; runs before the event loop starts
 func New(node *stack.Node, cfg Config) *Link {
+	if cfg.BufferCap <= 0 {
+		cfg.BufferCap = DefaultBufferCap
+	}
+	if cfg.StartSeq == 0 {
+		cfg.StartSeq = 1
+	}
 	l := &Link{
 		node: node,
 		ctx:  node.Context(),
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		out:  make(map[stack.ProcessID]*outStream),
 		in:   make(map[stack.ProcessID]*inStream),
 		tr:   cfg.Trace,
+
+		interval:  initialInterval,
+		maxProbes: maxProbes,
 
 		sequenced:     cfg.Metrics.Counter("relink.sequenced"),
 		retransmitted: cfg.Metrics.Counter("relink.retransmitted"),
@@ -309,7 +296,7 @@ func New(node *stack.Node, cfg Config) *Link {
 		probes:        cfg.Metrics.Counter("relink.probes"),
 		acks:          cfg.Metrics.Counter("relink.acks"),
 	}
-	l.reserve = l.cfg.StartSeq
+	l.reserve = cfg.StartSeq
 	node.Register(stack.ProtoLink, stack.HandlerFunc(l.receive))
 	node.SetSender(l)
 	return l
@@ -353,7 +340,7 @@ func (l *Link) MaxRTT() time.Duration {
 }
 
 // Interval returns the current anti-entropy cadence.
-func (l *Link) Interval() time.Duration { return l.cfg.Interval }
+func (l *Link) Interval() time.Duration { return l.interval }
 
 // SetInterval retargets the anti-entropy cadence (and with it the
 // retransmission guard window) at runtime. A pending tick is re-armed at the
@@ -362,10 +349,10 @@ func (l *Link) Interval() time.Duration { return l.cfg.Interval }
 //
 //abcheck:entry control-plane actuator; invoked on-loop by core.adaptTick and external controllers via Do
 func (l *Link) SetInterval(d time.Duration) {
-	if d <= 0 || d == l.cfg.Interval {
+	if d <= 0 || d == l.interval {
 		return
 	}
-	l.cfg.Interval = d
+	l.interval = d
 	if l.timerArmed && l.cancelTick != nil {
 		l.cancelTick()
 		l.timerArmed = false
@@ -470,7 +457,7 @@ func (l *Link) onSeq(from stack.ProcessID, m SeqMsg) {
 	}
 	is.have[m.Seq] = true
 	is.compact()
-	if len(is.have) > l.cfg.HaveCap {
+	if len(is.have) > haveCap {
 		// Bound receiver memory: declare the oldest gap lost and advance
 		// over it. The layers above repair the semantic loss.
 		min := uint64(0)
@@ -549,23 +536,23 @@ func (l *Link) onAck(from stack.ProcessID, m AckMsg) {
 	// the digest, and not (re)sent within the guard window — a digest can
 	// never account for copies still in flight when it was emitted.
 	now := l.ctx.Now()
-	burst := 0
+	resent := 0
 	for i := range os.entries {
-		if burst >= l.cfg.Burst {
+		if resent >= burst {
 			break
 		}
 		e := os.entries[i]
-		if e == nil || now.Sub(e.lastSent) < l.cfg.Interval {
+		if e == nil || now.Sub(e.lastSent) < l.interval {
 			continue
 		}
 		seq := os.base + uint64(i)
 		e.lastSent = now
 		l.retransmitted.Inc()
 		l.ctx.Send(from, stack.Envelope{Proto: stack.ProtoLink, Msg: SeqMsg{Seq: seq, Low: os.base, Env: e.env}})
-		burst++
+		resent++
 	}
-	if burst > 0 {
-		l.tr.Record(trace.Event{At: now, P: l.ctx.ID(), Kind: trace.KindRetransmit, Peer: from, N: burst})
+	if resent > 0 {
+		l.tr.Record(trace.Event{At: now, P: l.ctx.ID(), Kind: trace.KindRetransmit, Peer: from, N: resent})
 	}
 	if os.live > 0 {
 		l.arm()
@@ -604,7 +591,7 @@ func (l *Link) arm() {
 		return
 	}
 	l.timerArmed = true
-	l.cancelTick = l.ctx.SetTimer(l.cfg.Interval, l.tick)
+	l.cancelTick = l.ctx.SetTimer(l.interval, l.tick)
 }
 
 // tick runs one anti-entropy round: digest every incoming stream with
@@ -614,28 +601,13 @@ func (l *Link) arm() {
 func (l *Link) tick() {
 	l.timerArmed = false
 	pending := false
-	// Under dynamic membership, restrict anti-entropy to the node's current
-	// group: a retired peer will never answer another probe nor fill another
-	// gap, and digesting it forever would keep the timer alive. Repair of
-	// still-draining streams is sender-driven (probe → onProbe → ack), which
-	// this gate does not touch. Nil group = static full universe, unchanged.
+	// Anti-entropy covers the node's current group only: under dynamic
+	// membership a retired peer will never answer another probe nor fill
+	// another gap, and digesting it forever would keep the timer alive.
+	// Repair of still-draining streams is sender-driven (probe → onProbe →
+	// ack), which this gate does not touch.
 	group := l.node.Group()
-	inGroup := func(q stack.ProcessID) bool {
-		if group == nil {
-			return true
-		}
-		for _, m := range group {
-			if m == q {
-				return true
-			}
-		}
-		return false
-	}
-	n := stack.ProcessID(l.ctx.N())
-	for q := stack.ProcessID(1); q <= n; q++ {
-		if !inGroup(q) {
-			continue
-		}
+	for _, q := range group {
 		if is, ok := l.in[q]; ok && (is.ackDirty || len(is.have) > 0) {
 			l.sendAck(q, is)
 			if len(is.have) > 0 {
@@ -643,11 +615,8 @@ func (l *Link) tick() {
 			}
 		}
 	}
-	for q := stack.ProcessID(1); q <= n; q++ {
-		if !inGroup(q) {
-			continue
-		}
-		if os, ok := l.out[q]; ok && os.live > 0 && os.unanswered < l.cfg.MaxProbes {
+	for _, q := range group {
+		if os, ok := l.out[q]; ok && os.live > 0 && os.unanswered < l.maxProbes {
 			os.unanswered++
 			if os.probeAt.IsZero() {
 				os.probeAt = l.ctx.Now() // opens a probe→digest RTT exchange

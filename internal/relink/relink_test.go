@@ -185,7 +185,8 @@ func TestQuiescence(t *testing.T) {
 // probe budget, so the link quiesces instead of probing a dead process
 // forever.
 func TestCrashedPeerStopsProbing(t *testing.T) {
-	h := newHarness(t, 2, Config{MaxProbes: 5}, 7)
+	h := newHarness(t, 2, Config{}, 7)
+	h.links[1].maxProbes = 5
 	h.w.After(1, time.Millisecond, func() { h.w.Crash(2, simnet.DropInFlight) })
 	for n := 1; n <= 3; n++ {
 		h.send(1, 2, time.Duration(5+n)*time.Millisecond, n)
@@ -252,7 +253,8 @@ func TestStreamsAreIndependent(t *testing.T) {
 func TestSetIntervalTakesEffectNextTick(t *testing.T) {
 	// A black-holed send leaves unacknowledged data, so the sender probes
 	// on every tick; probe counts measure the cadence.
-	h := newHarness(t, 2, Config{Interval: time.Second}, 5)
+	h := newHarness(t, 2, Config{}, 5)
+	h.links[1].SetInterval(time.Second)
 	h.w.After(1, 0, func() {
 		h.w.Partition(simnet.PartitionDrop, []stack.ProcessID{2})
 	})
@@ -281,7 +283,10 @@ func TestSetIntervalTakesEffectNextTick(t *testing.T) {
 // round-trip estimate, exported through Stats().RTTs and MaxRTT, in the
 // ballpark of the link's actual round trip.
 func TestRTTEstimate(t *testing.T) {
-	h := newHarness(t, 3, Config{Interval: 20 * time.Millisecond}, 6)
+	h := newHarness(t, 3, Config{}, 6)
+	for _, l := range h.links[1:] {
+		l.SetInterval(20 * time.Millisecond)
+	}
 	// A steady stream keeps unacknowledged data present at most ticks, so
 	// the sender probes and the receiver's digests close the exchanges —
 	// the healthy-run case, where the estimate should sit near the real

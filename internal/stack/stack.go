@@ -134,14 +134,20 @@ type Node struct {
 	ctx      Context
 	handlers map[ProtoID]Handler
 	sender   Sender
-	group    []ProcessID // nil = every process 1..N (static membership)
+	group    []ProcessID // sorted broadcast member set; 1..N until SetGroup
 }
 
-// NewNode creates a node bound to the given runtime context.
+// NewNode creates a node bound to the given runtime context, broadcasting
+// to the full group 1..N.
 func NewNode(ctx Context) *Node {
+	group := make([]ProcessID, ctx.N())
+	for i := range group {
+		group[i] = ProcessID(i + 1)
+	}
 	return &Node{
 		ctx:      ctx,
 		handlers: make(map[ProtoID]Handler),
+		group:    group,
 	}
 }
 
@@ -167,21 +173,18 @@ func (n *Node) Dispatch(from ProcessID, env Envelope) {
 // (sorted copy taken). The dynamic-membership engine calls it when a
 // configuration change is delivered, so every layer broadcasting through the
 // node — failure detector, diffusion, consensus — targets the live view
-// without knowing about membership. A nil group restores the static 1..N
-// fan-out. The local process need not be a member: a joiner (or a retired
-// leaver) keeps observing group traffic addressed to it point-to-point.
+// without knowing about membership. The local process need not be a member:
+// a joiner (or a retired leaver) keeps observing group traffic addressed to
+// it point-to-point.
 func (n *Node) SetGroup(members []ProcessID) {
-	if members == nil {
-		n.group = nil
-		return
-	}
 	g := append([]ProcessID(nil), members...)
 	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	n.group = g
 }
 
-// Group returns the current broadcast member set (nil = all 1..N). The
-// returned slice is shared; callers must not mutate it.
+// Group returns the current broadcast member set, sorted (1..N unless
+// SetGroup changed it). The returned slice is shared; callers must not
+// mutate it.
 func (n *Node) Group() []ProcessID { return n.group }
 
 // SetSender installs an outbound interceptor: every remote send of every
@@ -221,50 +224,23 @@ func (p Proto) Send(q ProcessID, inst uint64, m Message) {
 	p.node.send(q, Envelope{Proto: p.id, Inst: inst, Msg: m})
 }
 
-// Broadcast transmits m to every process of the node's group (all 1..N when
-// no group is set), including the sender. The paper's pseudo-code "send to
-// all" includes the sending process; local delivery does not cross the
-// network.
+// Broadcast transmits m to every process of the node's group, including the
+// sender. The paper's pseudo-code "send to all" includes the sending
+// process; local delivery does not cross the network.
 func (p Proto) Broadcast(inst uint64, m Message) {
-	self := p.node.ctx.ID()
-	if g := p.node.group; g != nil {
-		for _, q := range g {
-			if q == self {
-				continue
-			}
-			p.Send(q, inst, m)
-		}
-		// Self-delivery happens even when self is outside the group: a
-		// broadcasting joiner still processes its own message locally.
-		p.Send(self, inst, m)
-		return
-	}
-	n := p.node.ctx.N()
-	for q := ProcessID(1); q <= ProcessID(n); q++ {
-		if q == self {
-			continue
-		}
-		p.Send(q, inst, m)
-	}
+	p.BroadcastOthers(inst, m)
 	// Deliver to self last so that, on the live runtime, remote sends are
-	// already queued before local processing triggers follow-up traffic.
-	p.Send(self, inst, m)
+	// already queued before local processing triggers follow-up traffic —
+	// and even when self is outside the group: a broadcasting joiner still
+	// processes its own message locally.
+	p.Send(p.node.ctx.ID(), inst, m)
 }
 
 // BroadcastOthers transmits m to every process of the node's group except
-// the sender (all 1..N when no group is set).
+// the sender.
 func (p Proto) BroadcastOthers(inst uint64, m Message) {
 	self := p.node.ctx.ID()
-	if g := p.node.group; g != nil {
-		for _, q := range g {
-			if q != self {
-				p.Send(q, inst, m)
-			}
-		}
-		return
-	}
-	n := p.node.ctx.N()
-	for q := ProcessID(1); q <= ProcessID(n); q++ {
+	for _, q := range p.node.group {
 		if q != self {
 			p.Send(q, inst, m)
 		}

@@ -111,6 +111,7 @@ func TestClusterMetricsHTTP(t *testing.T) {
 	if err := c.Broadcast(1, []byte("served")); err != nil {
 		t.Fatal(err)
 	}
+	collect(t, c, 1, 1) // both counters are asserted below: wait for both deliveries
 	collect(t, c, 2, 1)
 	base := "http://" + c.MetricsAddr()
 	resp, err := http.Get(base + "/metrics")
