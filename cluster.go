@@ -10,7 +10,6 @@ import (
 
 	"abcast/internal/core"
 	"abcast/internal/evloop"
-	"abcast/internal/fd"
 	"abcast/internal/live"
 	"abcast/internal/metrics"
 	"abcast/internal/msg"
@@ -245,7 +244,6 @@ type Cluster struct {
 	net     *live.Network
 	opts    Options
 	engines []*core.Engine
-	dets    []*fd.Heartbeat
 	queues  []*evloop.Queue[Delivery]
 	n       int
 
@@ -338,7 +336,6 @@ func New(n int, opts Options) (*Cluster, error) {
 		),
 		opts:    opts,
 		engines: make([]*core.Engine, n+1),
-		dets:    make([]*fd.Heartbeat, n+1),
 		queues:  make([]*evloop.Queue[Delivery], n+1),
 		n:       n,
 		stack:   cfg,
@@ -443,15 +440,11 @@ func openStore(po *PersistOptions, p int) (persist.Store, error) {
 }
 
 // wire builds one incarnation of process i's protocol stack on node: the
-// failure detector plus the engine, rehydrating from the process's store
-// when persistence is on. Runs on i's event loop — at startup via New's
+// engine (which makes its own default failure detector), rehydrating from
+// the process's store when persistence is on. Runs on i's event loop — at startup via New's
 // wiring closures, and again from Restart.
 func (c *Cluster) wire(i int, node *stack.Node) error {
-	hb := fd.DefaultConfig()
-	hb.Metrics = c.reg(i)
-	c.dets[i] = fd.NewHeartbeat(node, hb)
 	cfg := c.stack
-	cfg.Detector = c.dets[i]
 	cfg.Metrics = c.reg(i)
 	// Prefer same-site peers for the rotating repair paths, keeping
 	// fetch/sync traffic off the expensive inter-site links whenever a

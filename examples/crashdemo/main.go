@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"abcast/internal/core"
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -69,11 +68,9 @@ func scenario(variant core.Variant) error {
 	for i := 1; i <= n; i++ {
 		i := i
 		node := w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		eng, err := core.New(node, core.Config{
-			Variant:  variant,
-			RB:       rbcast.KindEager,
-			Detector: det,
+			Variant: variant,
+			RB:      rbcast.KindEager,
 			Deliver: func(app *msg.App) {
 				delivered[i] = append(delivered[i], string(app.Payload))
 			},

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"abcast/internal/core"
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/rbcast"
 	"abcast/internal/stack"
@@ -58,11 +57,9 @@ func run() error {
 	for i := 1; i <= n; i++ {
 		i := i
 		node := peers[i].Node()
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		eng, err := core.New(node, core.Config{
-			Variant:  core.VariantIndirectCT,
-			RB:       rbcast.KindLazy, // O(n) diffusion in good runs
-			Detector: det,
+			Variant: core.VariantIndirectCT,
+			RB:      rbcast.KindLazy, // O(n) diffusion in good runs
 			Deliver: func(app *msg.App) {
 				mu.Lock()
 				order[i] = append(order[i], string(app.Payload))

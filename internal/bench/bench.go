@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"abcast/internal/core"
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/persist"
@@ -234,7 +233,6 @@ func Run(e Experiment) (Result, error) {
 	// fresh incarnation rehydrates from stores[i].
 	startProc := func(i int, node *stack.Node) error {
 		cfg := e.Stack
-		cfg.Detector = fd.NewHeartbeat(node, fd.DefaultConfig())
 		cfg.RcvCheckCost = e.Params.RcvCheckPerID
 		cfg.Trace = tr
 		if cfg.Persist != nil {

@@ -25,6 +25,10 @@
 //
 // A Service multiplexes an unbounded sequence of independent consensus
 // instances (the serial numbers k of Algorithm 1) over a single protocol id.
+// State is one record per key: an instance per k, inside it one record per
+// round (rounds, instance.go), and one failure-detector subscription for the
+// whole service, which hands a suspicion to its live instances in
+// increasing k.
 package consensus
 
 import (
@@ -197,6 +201,7 @@ type Service struct {
 	group       []stack.ProcessID
 	insts       map[uint64]*instance
 	prunedBelow uint64
+	maxProposed uint64 // highest instance this process has proposed to
 
 	// pendingOpen holds, per peer, the open announcements still waiting for
 	// a ride on outgoing algorithm traffic (see Open); flushArmed guards the
@@ -251,7 +256,24 @@ func NewService(node *stack.Node, cfg Config) (*Service, error) {
 		s.lastRelay = make(map[stack.ProcessID]time.Time)
 	}
 	node.Register(stack.ProtoCons, stack.HandlerFunc(s.receive))
+	cfg.Detector.Subscribe(s.onSuspicion)
 	return s, nil
+}
+
+// onSuspicion is the service's one failure-detector subscription: a new
+// suspicion is handed to every instance this process has proposed to and not
+// seen decided, in increasing serial number (the order in which they react
+// is the order of the round messages they send). An instance PruneBelow has
+// dropped is not retained, so it can no longer react.
+func (s *Service) onSuspicion(q stack.ProcessID, suspected bool) {
+	if !suspected {
+		return
+	}
+	for k := s.prunedBelow; k <= s.maxProposed; k++ {
+		if inst := s.insts[k]; inst != nil && inst.proposed && !inst.decided {
+			inst.impl.onSuspect(q)
+		}
+	}
 }
 
 // Propose starts instance k with initial value v (propose(k, v, rcv) in the
@@ -262,16 +284,12 @@ func (s *Service) Propose(k uint64, v Value) {
 	if k < s.prunedBelow {
 		return
 	}
-	inst := s.instance(k)
-	if inst.proposed || inst.decided {
-		if inst.decided {
-			// The decision already arrived before this process got
-			// around to proposing; nothing to do — the upcall fired.
-			return
-		}
-		return
+	// A decision that arrived before this process got around to proposing
+	// has already fired the upcall; nothing to do.
+	if inst := s.instance(k); !inst.proposed && !inst.decided {
+		s.maxProposed = max(s.maxProposed, k)
+		inst.propose(v)
 	}
-	inst.propose(v)
 }
 
 // instance returns (creating if needed) the state of instance k.

@@ -1,6 +1,10 @@
 package consensus
 
-import "abcast/internal/stack"
+import (
+	"slices"
+
+	"abcast/internal/stack"
+)
 
 // ctInst is the round machinery of the Chandra–Toueg ◇S algorithm, covering
 // both the original algorithm and the paper's indirect adaptation
@@ -19,27 +23,30 @@ type ctInst struct {
 	r        int // current round
 	phase    int // 3 = waiting for coordinator proposal, 4 = coordinator collecting replies, 0 = settled
 
-	ests      map[int]map[stack.ProcessID]CTEstimateMsg // Phase 1 estimates, per round (coordinator)
-	proposals map[int]Value                             // coordinator proposals received, per round
-	propSent  map[int]bool                              // rounds for which this process, as coordinator, proposed
-	propVal   map[int]Value                             // estimatec per round (coordinator)
-	acks      map[int]map[stack.ProcessID]bool
-	nacks     map[int]map[stack.ProcessID]bool
+	rounds rounds[ctRound]
+}
+
+// ctRound is what a process knows about one round of one instance.
+type ctRound struct {
+	// As participant: the coordinator's proposal, nil until received (a nil
+	// off the wire is no proposal).
+	proposal Value
+	// As coordinator: the Phase 1 estimates received (one per sender, the
+	// latest), whether this process has proposed and what (the paper's
+	// estimatec), and who has replied in Phase 4.
+	ests        []ctEst
+	propSent    bool
+	propVal     Value
+	acks, nacks []stack.ProcessID
+}
+
+// ctEst is one Phase 1 estimate and its sender.
+type ctEst struct {
+	from stack.ProcessID
+	CTEstimateMsg
 }
 
 var _ algoImpl = (*ctInst)(nil)
-
-func newCTInst(in *instance) *ctInst {
-	return &ctInst{
-		in:        in,
-		ests:      make(map[int]map[stack.ProcessID]CTEstimateMsg),
-		proposals: make(map[int]Value),
-		propSent:  make(map[int]bool),
-		propVal:   make(map[int]Value),
-		acks:      make(map[int]map[stack.ProcessID]bool),
-		nacks:     make(map[int]map[stack.ProcessID]bool),
-	}
-}
 
 func (c *ctInst) n() int                      { return len(c.in.members) } // the n of the quorum thresholds
 func (c *ctInst) coord(r int) stack.ProcessID { return c.in.coordOf(r) }
@@ -75,9 +82,7 @@ func (c *ctInst) nextRound() {
 	// estimates.
 	if co == c.self() {
 		if r == 1 {
-			c.propVal[1] = c.estimate
-			c.propSent[1] = true
-			c.in.svc.broadcast(c.in.k, CTProposalMsg{R: 1, Est: c.estimate})
+			c.coordinatorPropose(1, c.estimate)
 		} else {
 			c.tryCoordinatorPropose(r)
 		}
@@ -85,7 +90,7 @@ func (c *ctInst) nextRound() {
 
 	// Phase 3 entry: the proposal (or grounds for suspicion) may already
 	// be at hand.
-	if _, ok := c.proposals[r]; ok {
+	if c.rounds.at(r).proposal != nil {
 		c.actOnProposal(r)
 	} else if c.in.svc.cfg.Detector.Suspects(co) {
 		c.refuse(r)
@@ -96,36 +101,38 @@ func (c *ctInst) nextRound() {
 // entered round r, and holds ⌈(n+1)/2⌉ Phase 1 estimates for it: it selects
 // the estimate with the largest timestamp (line 17-18) and proposes it.
 func (c *ctInst) tryCoordinatorPropose(r int) {
-	if c.r != r || c.coord(r) != c.self() || c.propSent[r] {
-		return
-	}
-	byProc := c.ests[r]
-	if len(byProc) < Majority(c.n()) {
+	rd := c.rounds.at(r)
+	if c.r != r || c.coord(r) != c.self() || rd.propSent || len(rd.ests) < Majority(c.n()) {
 		return
 	}
 	// Deterministic selection: among the largest timestamps, take the
-	// estimate of the lowest process id (the member list is sorted).
-	best := CTEstimateMsg{TS: -1}
-	for _, q := range c.in.members {
-		if e, ok := byProc[q]; ok && e.TS > best.TS {
+	// estimate of the lowest process id.
+	best := ctEst{CTEstimateMsg: CTEstimateMsg{TS: -1}}
+	for _, e := range rd.ests {
+		if e.TS > best.TS || (e.TS == best.TS && e.from < best.from) {
 			best = e
 		}
 	}
-	// In the indirect algorithm this value is estimatec, the
-	// coordinator's *proposal*, deliberately distinct from estimatep: the
-	// coordinator only updates its own estimate in Phase 3, and only if
-	// rcv holds (see the paper's "need for estimatec and estimatep").
-	c.propVal[r] = best.Est
-	c.propSent[r] = true
-	c.in.svc.broadcast(c.in.k, CTProposalMsg{R: r, Est: best.Est})
+	c.coordinatorPropose(r, best.Est)
+}
+
+// coordinatorPropose is Phase 2: broadcast v as round r's proposal. In the
+// indirect algorithm v is estimatec, the coordinator's *proposal*,
+// deliberately distinct from estimatep: the coordinator only updates its own
+// estimate in Phase 3, and only if rcv holds (see the paper's "need for
+// estimatec and estimatep").
+func (c *ctInst) coordinatorPropose(r int, v Value) {
+	rd := c.rounds.at(r)
+	rd.propVal, rd.propSent = v, true
+	c.in.svc.broadcast(c.in.k, CTProposalMsg{R: r, Est: v})
 }
 
 // actOnProposal is Phase 3 with a proposal at hand.
 func (c *ctInst) actOnProposal(r int) {
-	if c.r != r || c.phase != 3 {
+	v := c.rounds.at(r).proposal
+	if c.r != r || c.phase != 3 || v == nil {
 		return
 	}
-	v := c.proposals[r]
 	accept := true
 	if c.in.svc.cfg.Indirect {
 		// Line 25: check that all messages whose identifiers are in the
@@ -171,12 +178,13 @@ func (c *ctInst) tryCoordinatorResolve(r int) {
 	if c.r != r || c.phase != 4 || c.in.decided {
 		return
 	}
-	if len(c.acks[r]) >= Majority(c.n()) {
+	rd := c.rounds.at(r)
+	if len(rd.acks) >= Majority(c.n()) {
 		c.phase = 0
-		c.in.broadcastDecide(c.propVal[r])
+		c.in.broadcastDecide(rd.propVal)
 		return
 	}
-	if len(c.nacks[r]) >= 1 {
+	if len(rd.nacks) >= 1 {
 		c.nextRound()
 	}
 }
@@ -185,29 +193,30 @@ func (c *ctInst) tryCoordinatorResolve(r int) {
 func (c *ctInst) dispatch(from stack.ProcessID, m stack.Message) {
 	switch mm := m.(type) {
 	case CTEstimateMsg:
-		byProc, ok := c.ests[mm.R]
-		if !ok {
-			byProc = make(map[stack.ProcessID]CTEstimateMsg)
-			c.ests[mm.R] = byProc
+		rd := c.rounds.at(mm.R)
+		if i := slices.IndexFunc(rd.ests, func(e ctEst) bool { return e.from == from }); i >= 0 {
+			rd.ests[i].CTEstimateMsg = mm
+		} else {
+			rd.ests = append(rd.ests, ctEst{from: from, CTEstimateMsg: mm})
 		}
-		byProc[from] = mm
 		c.tryCoordinatorPropose(mm.R)
 	case CTProposalMsg:
-		if _, dup := c.proposals[mm.R]; !dup {
-			c.proposals[mm.R] = mm.Est
+		if rd := c.rounds.at(mm.R); rd.proposal == nil {
+			rd.proposal = mm.Est
 		}
 		c.actOnProposal(mm.R)
 	case CTAckMsg:
-		set := c.acks
+		rd := c.rounds.at(mm.R)
+		set := &rd.acks
 		if mm.Nack {
-			set = c.nacks
+			set = &rd.nacks
 		}
-		byProc, ok := set[mm.R]
-		if !ok {
-			byProc = make(map[stack.ProcessID]bool)
-			set[mm.R] = byProc
+		if !slices.Contains(*set, from) {
+			if *set == nil {
+				*set = make([]stack.ProcessID, 0, c.n()) // only members reply
+			}
+			*set = append(*set, from)
 		}
-		byProc[from] = true
 		c.tryCoordinatorResolve(mm.R)
 	}
 }
@@ -215,9 +224,7 @@ func (c *ctInst) dispatch(from stack.ProcessID, m stack.Message) {
 // onSuspect implements algoImpl: a Phase 3 wait aborts when the current
 // coordinator becomes suspected.
 func (c *ctInst) onSuspect(q stack.ProcessID) {
-	if c.phase == 3 && q == c.coord(c.r) {
-		if _, ok := c.proposals[c.r]; !ok {
-			c.refuse(c.r)
-		}
+	if c.phase == 3 && q == c.coord(c.r) && c.rounds.at(c.r).proposal == nil {
+		c.refuse(c.r)
 	}
 }

@@ -3,9 +3,9 @@ package consensus
 import "abcast/internal/stack"
 
 // instance is the per-serial-number consensus state shared by both
-// algorithms: propose/decide lifecycle, pre-propose buffering, decide
-// dissemination, and failure-detector subscription. The round logic itself
-// lives in the algoImpl (ctInst or mrInst).
+// algorithms: propose/decide lifecycle, pre-propose buffering and decide
+// dissemination. The round logic itself lives in the algoImpl (ctInst or
+// mrInst); suspicions reach it through Service.onSuspicion.
 type instance struct {
 	svc        *Service
 	k          uint64
@@ -13,7 +13,6 @@ type instance struct {
 	decided    bool
 	decideSent bool
 	buffer     []bufferedMsg
-	fdCancel   func()
 	impl       algoImpl
 	// members is the instance's view (sorted), cached at propose time — the
 	// point where quorum math starts. (An instance can be created earlier, by
@@ -32,14 +31,37 @@ type algoImpl interface {
 	onSuspect(q stack.ProcessID)
 }
 
+// rounds is an algorithm's per-round state, one record per round the process
+// has entered or heard of, in the order first touched: almost always one. A
+// message may name any round (the number comes off the wire), so the table
+// is searched, never indexed.
+type rounds[T any] []roundRec[T]
+
+type roundRec[T any] struct {
+	r   int
+	rec T
+}
+
+// at returns round r's record, made on first touch. The pointer is good until
+// the next call: a new record may move the others.
+func (t *rounds[T]) at(r int) *T {
+	for i := range *t {
+		if (*t)[i].r == r {
+			return &(*t)[i].rec
+		}
+	}
+	*t = append(*t, roundRec[T]{r: r})
+	return &(*t)[len(*t)-1].rec
+}
+
 // newInstance creates instance k in the not-yet-proposed state.
 func newInstance(svc *Service, k uint64) *instance {
 	in := &instance{svc: svc, k: k}
 	switch svc.cfg.Algo {
 	case CT:
-		in.impl = newCTInst(in)
+		in.impl = &ctInst{in: in}
 	case MR:
-		in.impl = newMRInst(in)
+		in.impl = &mrInst{in: in}
 	}
 	return in
 }
@@ -69,11 +91,6 @@ func (in *instance) fromMember(q stack.ProcessID) bool {
 func (in *instance) propose(v Value) {
 	in.proposed = true
 	in.members = in.svc.membersOf(in.k)
-	in.fdCancel = in.svc.cfg.Detector.Subscribe(func(q stack.ProcessID, suspected bool) {
-		if suspected && !in.decided && in.impl != nil {
-			in.impl.onSuspect(q)
-		}
-	})
 	in.impl.propose(v)
 	// Replay messages that arrived before the local propose; the buffer
 	// may grow during replay if handlers trigger further local sends, so
@@ -129,10 +146,6 @@ func (in *instance) onDecide(v Value) {
 	}
 	in.decided = true
 	in.svc.logDecision(in.k, v)
-	if in.fdCancel != nil {
-		in.fdCancel()
-		in.fdCancel = nil
-	}
 	in.impl = nil // release round state for GC
 	in.buffer = nil
 	if in.svc.cfg.Decide != nil {

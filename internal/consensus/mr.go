@@ -1,6 +1,10 @@
 package consensus
 
-import "abcast/internal/stack"
+import (
+	"slices"
+
+	"abcast/internal/stack"
+)
 
 // mrInst is the round machinery of the Mostéfaoui–Raynal ◇S algorithm,
 // covering both the original algorithm and the paper's indirect adaptation
@@ -30,11 +34,15 @@ type mrInst struct {
 	estimate Value
 	r        int
 
-	echoSent  map[int]bool                     // this process already relayed in round r
-	coordVal  map[int]Value                    // the coordinator's value, per round
-	echoOrder map[int][]mrEcho                 // relays in arrival order (Phase 2 examines the first quorum)
-	echoFrom  map[int]map[stack.ProcessID]bool // dedup
-	evaluated map[int]bool
+	rounds rounds[mrRound]
+}
+
+// mrRound is what a process knows about one round of one instance.
+type mrRound struct {
+	echoSent  bool     // this process already relayed
+	coordVal  Value    // the coordinator's value, nil until received
+	echoes    []mrEcho // relays, one per sender, in arrival order (Phase 2 examines the first quorum)
+	evaluated bool
 }
 
 // mrEcho is one recorded relay.
@@ -44,17 +52,6 @@ type mrEcho struct {
 }
 
 var _ algoImpl = (*mrInst)(nil)
-
-func newMRInst(in *instance) *mrInst {
-	return &mrInst{
-		in:        in,
-		echoSent:  make(map[int]bool),
-		coordVal:  make(map[int]Value),
-		echoOrder: make(map[int][]mrEcho),
-		echoFrom:  make(map[int]map[stack.ProcessID]bool),
-		evaluated: make(map[int]bool),
-	}
-}
 
 func (m *mrInst) n() int                      { return len(m.in.members) } // the n of the quorum thresholds
 func (m *mrInst) coord(r int) stack.ProcessID { return m.in.coordOf(r) }
@@ -88,7 +85,7 @@ func (m *mrInst) nextRound() {
 		// Phase 1, coordinator: its broadcast is simultaneously the
 		// round's proposal and its own relay (Algorithm 3 line 12).
 		m.sendEcho(r, m.estimate)
-	} else if v, ok := m.coordVal[r]; ok {
+	} else if v := m.rounds.at(r).coordVal; v != nil {
 		m.handleCoordVal(r, v)
 	} else if m.in.svc.cfg.Detector.Suspects(co) {
 		m.sendEcho(r, nil)
@@ -99,7 +96,7 @@ func (m *mrInst) nextRound() {
 // handleCoordVal is a non-coordinator acting on the coordinator's Phase 1
 // value.
 func (m *mrInst) handleCoordVal(r int, v Value) {
-	if m.r != r || m.echoSent[r] {
+	if m.r != r || m.rounds.at(r).echoSent {
 		return
 	}
 	if m.in.svc.cfg.Indirect && !m.in.rcvHolds(v) {
@@ -114,10 +111,11 @@ func (m *mrInst) handleCoordVal(r int, v Value) {
 
 // sendEcho broadcasts this process's round-r relay (est or ⊥) exactly once.
 func (m *mrInst) sendEcho(r int, est Value) {
-	if m.echoSent[r] {
+	rd := m.rounds.at(r)
+	if rd.echoSent {
 		return
 	}
-	m.echoSent[r] = true
+	rd.echoSent = true
 	m.in.svc.broadcast(m.in.k, MREchoMsg{R: r, Bottom: est == nil, Est: est})
 }
 
@@ -128,26 +126,24 @@ func (m *mrInst) dispatch(from stack.ProcessID, raw stack.Message) {
 		return
 	}
 	r := e.R
-	if !e.Bottom && from == m.coord(r) {
-		if _, seen := m.coordVal[r]; !seen {
-			m.coordVal[r] = e.Est
+	if !e.Bottom && e.Est != nil && from == m.coord(r) {
+		if rd := m.rounds.at(r); rd.coordVal == nil {
+			rd.coordVal = e.Est
 		}
 		if m.r == r {
 			m.handleCoordVal(r, e.Est)
 		}
 	}
-	byProc, ok := m.echoFrom[r]
-	if !ok {
-		byProc = make(map[stack.ProcessID]bool)
-		m.echoFrom[r] = byProc
-	}
-	if !byProc[from] {
-		byProc[from] = true
+	rd := m.rounds.at(r)
+	if !slices.ContainsFunc(rd.echoes, func(have mrEcho) bool { return have.from == from }) {
 		var est Value
 		if !e.Bottom {
 			est = e.Est
 		}
-		m.echoOrder[r] = append(m.echoOrder[r], mrEcho{from: from, est: est})
+		if rd.echoes == nil {
+			rd.echoes = make([]mrEcho, 0, m.n()) // only members relay
+		}
+		rd.echoes = append(rd.echoes, mrEcho{from: from, est: est})
 	}
 	m.tryEvaluate(r)
 }
@@ -156,16 +152,14 @@ func (m *mrInst) dispatch(from stack.ProcessID, raw stack.Message) {
 // arrived, examine exactly the first quorum received (the paper's "wait
 // until received from Q processes").
 func (m *mrInst) tryEvaluate(r int) {
-	if m.r != r || m.evaluated[r] || m.in.decided {
-		return
-	}
+	rd := m.rounds.at(r)
 	q := m.quorum()
-	if len(m.echoOrder[r]) < q {
+	if m.r != r || rd.evaluated || m.in.decided || len(rd.echoes) < q {
 		return
 	}
-	m.evaluated[r] = true
+	rd.evaluated = true
 
-	first := m.echoOrder[r][:q]
+	first := rd.echoes[:q]
 	var v Value
 	countV := 0
 	for _, e := range first {
@@ -198,9 +192,8 @@ func (m *mrInst) tryEvaluate(r int) {
 // onSuspect implements algoImpl: suspicion of the current coordinator
 // releases the Phase 1 wait with a ⊥ relay.
 func (m *mrInst) onSuspect(q stack.ProcessID) {
-	r := m.r
-	if r >= 1 && q == m.coord(r) && !m.echoSent[r] {
-		if _, have := m.coordVal[r]; !have {
+	if r := m.r; r >= 1 && q == m.coord(r) {
+		if rd := m.rounds.at(r); !rd.echoSent && rd.coordVal == nil {
 			m.sendEcho(r, nil)
 		}
 	}

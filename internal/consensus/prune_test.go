@@ -62,3 +62,30 @@ func TestPrunedInstanceIgnoresTraffic(t *testing.T) {
 		t.Fatalf("decide count changed after prune: %d", h.decideCount[1][1])
 	}
 }
+
+// TestPrunedInstanceIgnoresSuspicion: PruneBelow may drop an instance this
+// process proposed to and has not seen decided (the engine's snapshot
+// installer jumps past such instances). The dropped instance must be dead to
+// the failure detector too — a later suspicion of its coordinator used to
+// drive its round machine (a nack and a round-2 estimate) from beyond the
+// grave.
+func TestPrunedInstanceIgnoresSuspicion(t *testing.T) {
+	h := newHarness(t, 3, CT, false, nil)
+	h.propose(1, time.Millisecond, 1, tv("v1")) // alone: waits on coordinator p2
+	h.w.RunFor(time.Second)
+	svc := h.svcs[1]
+	if svc.Undecided() != 1 {
+		t.Fatalf("Undecided = %d before prune, want 1", svc.Undecided())
+	}
+	h.w.After(1, time.Millisecond, func() { svc.PruneBelow(2) })
+	h.w.RunFor(time.Second)
+	sent := h.w.MsgsSent()
+	h.w.After(1, time.Millisecond, func() { h.fds[1].SetSuspected(2, true) })
+	h.w.RunFor(time.Second)
+	if svc.InstanceCount() != 0 {
+		t.Fatalf("InstanceCount = %d after prune, want 0", svc.InstanceCount())
+	}
+	if got := h.w.MsgsSent() - sent; got != 0 {
+		t.Fatalf("pruned instance sent %d messages on a suspicion", got)
+	}
+}

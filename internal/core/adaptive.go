@@ -17,7 +17,7 @@ package core
 // in the static engine, so a width change can never lose an identifier that
 // was waiting to be recycled into a later instance (the property
 // TestAdaptivePartitionKeepsContract and TestRetargetShrinkLosesNothing
-// pin). MaxBatch is read per selectBatch call, so a batch retarget simply
+// pin). MaxBatch is read per claimBatch call, so a batch retarget simply
 // applies from the next proposal on.
 
 import (
@@ -69,7 +69,7 @@ type Observation struct {
 
 // Observe snapshots the engine's control-plane signals.
 func (e *Engine) Observe() Observation {
-	backlog := e.unordered.Len() - len(e.claimed)
+	backlog := e.msgs.unordered.Len() - e.msgs.claimed
 	if backlog < 0 {
 		backlog = 0
 	}
@@ -81,7 +81,7 @@ func (e *Engine) Observe() Observation {
 		MaxBatch:        e.maxBatch,
 		DecisionLatency: time.Duration(e.decLat.Value()),
 		ConsensusOpen:   e.cons.Undecided(),
-		Received:        len(e.received),
+		Received:        e.msgs.held,
 		DeliveredLog:    len(e.deliveredLog),
 	}
 	if e.link != nil {
@@ -146,7 +146,6 @@ func (e *Engine) initAdapt() {
 	// window controller steers by, so adaptive engines always run with a
 	// bounded batch.
 	e.maxBatch = min(max(e.maxBatch, adapt.MinBatch), adapt.MaxBatchCap)
-	e.proposedAt = make(map[uint64]time.Time)
 	e.decLat = stats.NewEwma(decLatAlpha)
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -135,13 +134,13 @@ func TestAdaptiveFailedConstructionArmsNoTimer(t *testing.T) {
 	w := simnet.NewWorld(1, netmodel.Setup1(), 1)
 	node := w.Node(1)
 	_, err := New(node, Config{
-		Variant:  Variant(99), // unknown: New fails after initAdapt ran
-		Detector: fd.NewHeartbeat(node, fd.DefaultConfig()),
+		Variant:  VariantIndirectCT,
+		Members:  []stack.ProcessID{}, // empty: New fails after initAdapt ran
 		Adaptive: true,
 		Deliver:  func(*msg.App) {},
 	})
 	if err == nil {
-		t.Fatal("expected an unknown-variant error")
+		t.Fatal("expected an empty-member-set error")
 	}
 	// If initAdapt armed the loop, the first tick at +25 ms panics here.
 	w.RunFor(time.Second)

@@ -27,6 +27,12 @@
 // instance order, so every correctness property above is preserved while
 // the throughput ceiling imposed by MaxBatch × instance latency is
 // multiplied by W.
+//
+// This file is Algorithm 1 and its pipeline. The sets it speaks of —
+// receivedp, unorderedp, orderedp, adelivered — are one record per message in
+// table.go; the repair planes (recovery.go, snapshot.go, persist.go,
+// membership.go, adaptive.go) drive the same table through the same
+// transitions.
 package core
 
 import (
@@ -91,7 +97,9 @@ type Config struct {
 	// (KindEager = O(n²) or KindLazy = O(n)). VariantURBIDs always uses
 	// uniform reliable broadcast; if RB is zero it defaults to KindEager.
 	RB rbcast.Kind
-	// Detector is the ◇S failure detector shared by the stack's layers.
+	// Detector is the ◇S failure detector shared by the stack's layers. Nil
+	// means a heartbeat detector with fd.DefaultConfig, its counters in
+	// Metrics, made by New.
 	Detector fd.Detector
 	// RcvCheckCost is the CPU time charged per identifier by the rcv
 	// predicate (models the id-set bookkeeping the paper measures as the
@@ -253,45 +261,39 @@ type Engine struct {
 	// per run). See membership.go.
 	views []viewRec
 
-	received  map[msg.ID]*msg.App // receivedp: messages received
-	delivered map[msg.ID]bool     // messages already adelivered
-	inOrdered map[msg.ID]bool     // ids currently queued in orderedp
-	unordered msg.IDSet           // unorderedp: received but not yet ordered
-	ordered   []ordRec            // orderedp: ordered, not yet adelivered
+	// msgs is receivedp, unorderedp, orderedp and the adelivered set of
+	// Algorithm 1: one record per identifier, see table.go.
+	msgs msgTable
 
 	kNext    uint64                     // next consensus instance to consume
 	kPropose uint64                     // next consensus instance to propose to (≥ kNext)
 	window   int                        // pipeline width W (≥ 1; retargetable, see Retarget)
 	maxBatch int                        // per-instance id cap (0 = unlimited; retargetable)
-	inFlight map[uint64]msg.IDSet       // our outstanding proposals, by instance
-	claimed  map[msg.ID]bool            // ids inside some outstanding proposal
+	inFlight map[uint64]proposal        // our outstanding proposals, by instance
 	needed   map[uint64]bool            // foreign-live instances we have not joined
 	pending  map[uint64]consensus.Value // decisions not yet consumed
 
 	maxInFlight int // high-water mark of len(inFlight), for tests/diagnostics
 
 	// Adaptive control plane state (Config.Adaptive): the controller, the
-	// propose instants feeding the decision-latency signal, and a retarget
+	// smoothed propose→decide latency of our own proposals, and a retarget
 	// counter for tests. See adaptive.go.
-	ctrl       *adapt.Controller
-	proposedAt map[uint64]time.Time
-	decLat     stats.Ewma
-	retargets  *metrics.Counter
+	ctrl      *adapt.Controller
+	decLat    stats.Ewma
+	retargets *metrics.Counter
 
 	// Recovery state (Config.Recover): the ProtoSync sending helper, the
 	// single outstanding fetch timer, the rotating fetch target, and a
 	// fetch counter for tests.
-	sync           stack.Proto
-	link           *relink.Link
-	wanted         map[msg.ID]bool      // ids revealed by failed rcv checks, payload missing
-	unorderedSince map[msg.ID]time.Time // when each unordered id arrived (re-diffusion aging)
-	fetchArmed     bool
-	rediffArmed    bool
-	syncArmed      bool
-	fetchAttempt   int
-	syncAttempt    int
-	fetches        *metrics.Counter
-	syncReqs       *metrics.Counter
+	sync         stack.Proto
+	link         *relink.Link
+	fetchArmed   bool
+	rediffArmed  bool
+	syncArmed    bool
+	fetchAttempt int
+	syncAttempt  int
+	fetches      *metrics.Counter
+	syncReqs     *metrics.Counter
 
 	// Snapshot state (Config.Snapshot): the ProtoSnapshot sending
 	// helper, the delivered-prefix log (delivery order with ordering
@@ -311,16 +313,13 @@ type Engine struct {
 	snapsDone    *metrics.Counter
 
 	// Crash-recovery persistence state (Config.Persist): the checkpoint/WAL
-	// store, the compressed delivered digest (per-sender floors; the
-	// delivered map then holds only the residue above them), the durable
-	// frontiers peers have announced, and the prune bookkeeping. deliveredN
-	// is maintained unconditionally — it equals len(delivered) exactly until
-	// persistence starts compressing the set. See persist.go.
+	// store, the durable frontiers peers have announced, and the prune
+	// bookkeeping. deliveredN is maintained unconditionally (the delivered
+	// set itself is msgs.delivered). See persist.go.
 	pstore        persist.Store
 	ckptEvery     time.Duration
 	deliveredN    int                        // total adelivered count
 	logBase       uint64                     // deliveredLog entries pruned below deliveredLog[0]
-	delFloor      map[stack.ProcessID]uint64 // per-sender contiguous delivered floors
 	peerFrontier  map[stack.ProcessID]uint64 // durable frontiers announced per process
 	lastCkptF     uint64                     // frontier of the last saved checkpoint
 	linkReserve   uint64                     // WAL'd relink sequence reservation
@@ -329,6 +328,13 @@ type Engine struct {
 	ckpts         *metrics.Counter
 	prunes        *metrics.Counter
 	persistErrs   *metrics.Counter
+}
+
+// proposal is one outstanding proposal of this process: the identifiers it
+// claimed and when it was made.
+type proposal struct {
+	ids msg.IDSet
+	at  time.Time
 }
 
 // ordRec is one entry of the ordered/delivered sequences: an identifier plus
@@ -348,8 +354,8 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	if cfg.Deliver == nil {
 		return nil, fmt.Errorf("core: nil Deliver upcall")
 	}
-	if cfg.Detector == nil {
-		return nil, fmt.Errorf("core: nil failure detector")
+	if cfg.Variant < VariantConsensusMsgs || cfg.Variant > VariantURBIDs {
+		return nil, fmt.Errorf("core: unknown variant %v", cfg.Variant)
 	}
 	if cfg.RB == 0 {
 		cfg.RB = rbcast.KindEager
@@ -365,21 +371,26 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: Persist with nil Store")
 	}
 	cfg.resolve()
+	if cfg.Detector == nil {
+		// The default ◇S detector. Made here — after validation, before any
+		// other layer is wired — so its first heartbeat and timers are
+		// scheduled where every hand-assembled stack used to schedule them.
+		hb := fd.DefaultConfig()
+		hb.Metrics = cfg.Metrics
+		cfg.Detector = fd.NewHeartbeat(node, hb)
+	}
 	e := &Engine{
-		ctx:       node.Context(),
-		cfg:       cfg,
-		node:      node,
-		received:  make(map[msg.ID]*msg.App),
-		delivered: make(map[msg.ID]bool),
-		inOrdered: make(map[msg.ID]bool),
-		kNext:     1,
-		kPropose:  1,
-		window:    window,
-		maxBatch:  cfg.MaxBatch,
-		inFlight:  make(map[uint64]msg.IDSet),
-		claimed:   make(map[msg.ID]bool),
-		needed:    make(map[uint64]bool),
-		pending:   make(map[uint64]consensus.Value),
+		ctx:      node.Context(),
+		cfg:      cfg,
+		node:     node,
+		msgs:     msgTable{entries: make(map[msg.ID]msgEntry)},
+		kNext:    1,
+		kPropose: 1,
+		window:   window,
+		maxBatch: cfg.MaxBatch,
+		inFlight: make(map[uint64]proposal),
+		needed:   make(map[uint64]bool),
+		pending:  make(map[uint64]consensus.Value),
 	}
 	// Metric handles before any init step that may bump them (rehydrate
 	// restores the delivered count; a failing store surfaces errors).
@@ -416,13 +427,10 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	}
 
 	// Diffusion layer.
-	switch cfg.Variant {
-	case VariantURBIDs:
+	if cfg.Variant == VariantURBIDs {
 		e.rb = rbcast.NewUniform(node, e.onRDeliver)
-	case VariantConsensusMsgs, VariantFaultyIDs, VariantIndirectCT, VariantIndirectMR:
+	} else {
 		e.rb = rbcast.New(cfg.RB, node, cfg.Detector, e.onRDeliver)
-	default:
-		return nil, fmt.Errorf("core: unknown variant %v", cfg.Variant)
 	}
 
 	// Recovery subsystem (reliable link + payload fetch here, decide-relay
@@ -518,35 +526,33 @@ func (e *Engine) rcv(v consensus.Value) bool {
 	if e.cfg.RcvCheckCost > 0 {
 		e.ctx.Work(time.Duration(len(ids)) * e.cfg.RcvCheckCost)
 	}
+	held := true
 	for _, id := range ids {
-		if e.received[id] == nil {
+		if e.msgs.payload(id) == nil {
+			held = false
+			if e.cfg.Recover == nil {
+				break
+			}
 			// A failed check names messages a peer holds but this process
 			// never received — with recovery enabled, fetch them rather
 			// than rely on a diffusion that may have been black-holed.
-			e.noteWanted(ids)
-			return false
+			e.msgs.wanted.Add(id)
 		}
 	}
-	return true
+	if !held {
+		e.armFetch()
+	}
+	return held
 }
 
 // onRDeliver handles R-delivery of a message (Algorithm 1 lines 11-14).
 func (e *Engine) onRDeliver(app *msg.App) {
-	if e.received[app.ID] != nil {
-		return
+	now := e.ctx.Now()
+	if !e.msgs.receive(app, now, true) {
+		return // a duplicate, or a straggling copy of a delivered and pruned message
 	}
-	if e.pstore != nil && e.isDelivered(app.ID) {
-		// Delivered and pruned: a straggling diffusion (or re-diffusion)
-		// copy must not re-accumulate the payload the prune dropped.
-		return
-	}
-	e.received[app.ID] = app
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindReceive, ID: app.ID})
-	delete(e.wanted, app.ID)
-	if !e.isDelivered(app.ID) && !e.inOrdered[app.ID] {
-		e.unordered.Add(app.ID)
-		e.noteUnordered(app.ID)
-	}
+	e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: app.ID})
+	e.armRediffuse()
 	e.tryDeliver() // the head of orderedp may have been waiting for this payload
 	e.maybePropose()
 }
@@ -597,22 +603,14 @@ func (e *Engine) maybePropose() {
 				continue
 			}
 		}
-		batch := e.selectBatch()
+		batch := e.msgs.claimBatch(e.maxBatch)
 		if len(batch) == 0 && !((e.pipelined() || e.dynamic()) && e.needed[k]) {
 			return
 		}
 		delete(e.needed, k)
-		set := msg.NewIDSet(batch...)
-		e.inFlight[k] = set
-		if len(e.inFlight) > e.maxInFlight {
-			e.maxInFlight = len(e.inFlight)
-		}
-		for _, id := range batch {
-			e.claimed[id] = true
-		}
-		if e.proposedAt != nil {
-			e.proposedAt[k] = e.ctx.Now()
-		}
+		set := msg.IDSetFromSorted(batch)
+		e.inFlight[k] = proposal{ids: set, at: e.ctx.Now()}
+		e.maxInFlight = max(e.maxInFlight, len(e.inFlight))
 		e.kPropose = k + 1
 		if e.pipelined() && (k > e.kNext || len(batch) == 0) {
 			// An adaptive engine beacons even at W=1: its window may have
@@ -626,32 +624,13 @@ func (e *Engine) maybePropose() {
 		case VariantConsensusMsgs:
 			msgs := make([]*msg.App, 0, len(batch))
 			for _, id := range batch {
-				msgs = append(msgs, e.received[id])
+				msgs = append(msgs, e.msgs.payload(id))
 			}
 			e.cons.Propose(k, NewMsgSetValue(msgs))
 		default:
 			e.cons.Propose(k, IDSetValue{Set: set})
 		}
 	}
-}
-
-// selectBatch picks the unordered identifiers not claimed by an outstanding
-// proposal, in canonical order, capped at MaxBatch. Disjointness across the
-// in-flight instances keeps the pipeline from ordering an identifier twice
-// through two of this process's own proposals.
-func (e *Engine) selectBatch() []msg.ID {
-	all := e.unordered.IDs()
-	batch := make([]msg.ID, 0, len(all))
-	for _, id := range all {
-		if e.claimed[id] {
-			continue
-		}
-		batch = append(batch, id)
-		if e.maxBatch > 0 && len(batch) == e.maxBatch {
-			break
-		}
-	}
-	return batch
 }
 
 // onNeed joins a consensus instance some other process is running. Invoked
@@ -671,19 +650,18 @@ func (e *Engine) onDecide(k uint64, v consensus.Value) {
 	if _, dup := e.pending[k]; dup || k < e.kNext {
 		return
 	}
-	if t0, ok := e.proposedAt[k]; ok {
+	if p, ours := e.inFlight[k]; ours && e.ctrl != nil {
 		// Propose→decide latency of our own proposal: the consensus-level
 		// congestion signal of the adaptive control plane.
-		e.decLat.Observe(float64(e.ctx.Now().Sub(t0)))
-		delete(e.proposedAt, k)
+		e.decLat.Observe(float64(e.ctx.Now().Sub(p.at)))
 	}
 	if e.cfg.OnDecision != nil {
 		e.cfg.OnDecision(k, v)
 	}
 	e.decisions.Inc()
 	if e.tr.Enabled() {
-		// idsOfValue allocates, so the batch size is computed only when a
-		// recorder is attached.
+		// idsOfValue allocates for a message-set value, so the batch size is
+		// computed only when a recorder is attached.
 		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindDecide, K: k, N: len(idsOfValue(v))})
 	}
 	e.pending[k] = v
@@ -708,18 +686,15 @@ func (e *Engine) consumePending() {
 			break
 		}
 		delete(e.pending, e.kNext)
-		if batch, ours := e.inFlight[e.kNext]; ours {
+		if p, ours := e.inFlight[e.kNext]; ours {
 			// Release our proposal for the consumed instance. Identifiers
 			// the decision did not order (another process's batch won) are
 			// still in unordered and, unclaimed again, get re-proposed to
 			// a later instance by maybePropose.
 			delete(e.inFlight, e.kNext)
-			for _, id := range batch.IDs() {
-				delete(e.claimed, id)
-			}
+			e.msgs.release(p.ids.RawIDs())
 		}
 		delete(e.needed, e.kNext)
-		delete(e.proposedAt, e.kNext)
 		k := e.kNext
 		e.kNext++
 		e.applyDecision(k, next)
@@ -733,25 +708,20 @@ func (e *Engine) consumePending() {
 // applyDecision appends the identifiers decided by instance k, in
 // deterministic order, to the ordered sequence and delivers what it can.
 func (e *Engine) applyDecision(k uint64, v consensus.Value) {
+	now := e.ctx.Now()
 	if mv, ok := v.(MsgSetValue); ok {
 		// Consensus on messages: the decision itself carries the
 		// payloads, so every decider can deliver them even if the
 		// diffusion broadcast has not reached it yet.
 		for _, a := range mv.Msgs {
-			if e.received[a.ID] == nil {
-				e.received[a.ID] = a
-				e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindReceive, ID: a.ID})
+			if e.msgs.receive(a, now, false) {
+				e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: a.ID})
 			}
 		}
 	}
-	ids := idsOfValue(v)
-	for _, id := range ids {
-		e.unordered.Remove(id)
-		delete(e.unorderedSince, id)
-		if !e.isDelivered(id) && !e.inOrdered[id] {
-			e.ordered = append(e.ordered, ordRec{id: id, k: k})
-			e.inOrdered[id] = true
-			e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindOrdered, ID: id, K: k})
+	for _, id := range idsOfValue(v) {
+		if e.msgs.order(id, k) {
+			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindOrdered, ID: id, K: k})
 		}
 	}
 	e.tryDeliver()
@@ -761,18 +731,17 @@ func (e *Engine) applyDecision(k uint64, v consensus.Value) {
 // (Algorithm 1 lines 23-25). With a correct variant the head never blocks
 // forever: No loss (or uniform diffusion) guarantees the payload arrives.
 func (e *Engine) tryDeliver() {
-	for len(e.ordered) > 0 {
-		rec := e.ordered[0]
-		app := e.received[rec.id]
+	for {
+		rec, app := e.msgs.deliverNext()
 		if app == nil {
-			// Head ordered but not yet received. With recovery enabled,
-			// arrange to fetch the payload if the stall persists.
+			// Nothing queued, or the head is ordered but not yet received:
+			// with recovery enabled, arrange to fetch the payload if the
+			// stall persists (armFetch is a no-op when nothing is missing).
 			e.armFetch()
 			return
 		}
-		e.ordered = e.ordered[1:]
-		delete(e.inOrdered, rec.id)
-		e.markDelivered(rec.id)
+		e.deliveredN++
+		e.deliveredC.Inc()
 		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindADeliver, ID: rec.id, K: rec.k})
 		if e.cfg.Snapshot {
 			// The delivered prefix, in order and with ordering serials, is
@@ -794,14 +763,12 @@ func (e *Engine) tryDeliver() {
 // Blocked reports whether the engine is stuck: an identifier is at the head
 // of the ordered sequence with no corresponding message. Transient in
 // correct stacks; permanent in the faulty stack's Section 2.2 scenario.
-func (e *Engine) Blocked() bool {
-	return len(e.ordered) > 0 && e.received[e.ordered[0].id] == nil
-}
+func (e *Engine) Blocked() bool { return e.msgs.blocked() }
 
 // BlockedOn returns the identifier the engine is waiting on, if Blocked.
 func (e *Engine) BlockedOn() (msg.ID, bool) {
 	if e.Blocked() {
-		return e.ordered[0].id, true
+		return e.msgs.ordered[0].id, true
 	}
 	return msg.ID{}, false
 }
@@ -809,7 +776,7 @@ func (e *Engine) BlockedOn() (msg.ID, bool) {
 // HasReceived reports whether this process holds the message with the
 // given identifier (the receivedp set of Algorithm 1). Used by invariant
 // checkers.
-func (e *Engine) HasReceived(id msg.ID) bool { return e.received[id] != nil }
+func (e *Engine) HasReceived(id msg.ID) bool { return e.msgs.payload(id) != nil }
 
 // Stats reports engine counters for diagnostics and tests.
 type Stats struct {
@@ -842,14 +809,14 @@ type Stats struct {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Received:     len(e.received),
+		Received:     e.msgs.held,
 		Delivered:    e.deliveredN,
-		Unordered:    e.unordered.Len(),
+		Unordered:    e.msgs.unordered.Len(),
 		DeliveredLog: len(e.deliveredLog),
 		LogBase:      e.logBase,
 		Checkpoints:  int(e.ckpts.Value()),
 		Prunes:       int(e.prunes.Value()),
-		OrderedQ:     len(e.ordered),
+		OrderedQ:     len(e.msgs.ordered),
 		Instances:    e.kNext - 1,
 		InFlight:     len(e.inFlight),
 		MaxInFlight:  e.maxInFlight,
@@ -860,11 +827,11 @@ func (e *Engine) Stats() Stats {
 }
 
 // idsOfValue extracts identifiers, in canonical order, from either value
-// type.
+// type. The slice may be the value's own: callers only read it.
 func idsOfValue(v consensus.Value) []msg.ID {
 	switch vv := v.(type) {
 	case IDSetValue:
-		return vv.Set.IDs()
+		return vv.Set.RawIDs()
 	case MsgSetValue:
 		return vv.IDs()
 	default:

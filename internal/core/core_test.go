@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -36,11 +35,9 @@ func newCluster(t *testing.T, n int, variant Variant, rb rbcast.Kind, params net
 		i := i
 		c.payloads[i] = make(map[msg.ID]string)
 		node := c.w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		cfg := Config{
 			Variant:      variant,
 			RB:           rb,
-			Detector:     det,
 			RcvCheckCost: params.RcvCheckPerID,
 			Deliver: func(app *msg.App) {
 				c.delivered[i] = append(c.delivered[i], app.ID)

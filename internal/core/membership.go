@@ -118,8 +118,8 @@ func (e *Engine) viewAt(k uint64) []stack.ProcessID {
 // head of the delivery queue, or kNext when nothing is queued. Every
 // configuration change ordered below it has been delivered and applied.
 func (e *Engine) viewFrontier() uint64 {
-	if len(e.ordered) > 0 {
-		return e.ordered[0].k
+	if len(e.msgs.ordered) > 0 {
+		return e.msgs.ordered[0].k
 	}
 	return e.kNext
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"abcast/internal/consensus"
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -49,12 +48,10 @@ func newNolossHarness(t *testing.T, n int, variant Variant, seed int64, willCras
 	}
 	for i := 1; i <= n; i++ {
 		node := h.w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		cfg := Config{
-			Variant:  variant,
-			RB:       rbcast.KindEager,
-			Detector: det,
-			Deliver:  func(*msg.App) {},
+			Variant: variant,
+			RB:      rbcast.KindEager,
+			Deliver: func(*msg.App) {},
 			OnDecision: func(k uint64, v consensus.Value) {
 				h.checkDecision(k, v)
 			},
@@ -215,12 +212,10 @@ func TestNoLossCheckerDetectsFaultyStack(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		node := h.w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		eng, err := New(node, Config{
-			Variant:  VariantFaultyIDs,
-			RB:       rbcast.KindEager,
-			Detector: det,
-			Deliver:  func(*msg.App) {},
+			Variant: VariantFaultyIDs,
+			RB:      rbcast.KindEager,
+			Deliver: func(*msg.App) {},
 			OnDecision: func(k uint64, v consensus.Value) {
 				h.checkDecision(k, v)
 			},

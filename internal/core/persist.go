@@ -9,22 +9,24 @@ package core
 // with history. Config.Persist bounds both at once, around one invariant:
 //
 //	the checkpoint boundary: a consensus instance k may be forgotten
-//	(payloads dropped from received, entries dropped from deliveredLog,
-//	decisions evicted from the relay log) only once every current member's
-//	*durable* delivered frontier has passed k.
+//	(payloads dropped from the message table and the diffusion layer,
+//	entries dropped from deliveredLog, decisions evicted from the relay
+//	log) only once every current member's *durable* delivered frontier has
+//	passed k.
 //
 // The pieces, all in this file:
 //
 //   - Checkpointing: on a timer (PersistConfig.Interval) the engine saves a
 //     persist.Checkpoint — delivered frontier, the retained delivered-log
-//     suffix, per-sender delivered floors plus the sparse residue above
-//     them, the applied view log, and the two monotone counters — then
+//     suffix, the delivered set in its exported form (msg.SeenSet: floors
+//     plus residue), the applied view log, and the two monotone counters — then
 //     truncates the WAL and broadcasts FrontierMsg announcing the durable
 //     frontier.
 //   - Pruning: every process tracks the durable frontiers its peers
 //     announce. Once the minimum over the current members passes a
 //     boundary, the delivered prefix below it is dropped: payloads leave
-//     received, entries leave deliveredLog (logBase records how many), and
+//     the table and the broadcast (rbcast.Broadcaster.Release), entries
+//     leave deliveredLog (logBase records how many), and
 //     consensus.RaiseFloor routes lagging peers to the snapshot path
 //     instead of a replay naming unfetchable payloads. Snapshot transfers
 //     become suffix-only: positions below logBase are never re-shipped.
@@ -46,10 +48,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"abcast/internal/msg"
 	"abcast/internal/persist"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
@@ -97,7 +97,6 @@ func (e *Engine) initPersist() error {
 	if e.ckptEvery <= 0 {
 		e.ckptEvery = DefaultCheckpointInterval
 	}
-	e.delFloor = make(map[stack.ProcessID]uint64)
 	e.peerFrontier = make(map[stack.ProcessID]uint64)
 	cp, err := persist.Recover(pc.Store)
 	if err != nil {
@@ -136,12 +135,7 @@ func (e *Engine) rehydrate(cp *persist.Checkpoint) {
 	}
 	e.deliveredN = int(cp.LogBase) + len(cp.Entries)
 	e.deliveredC.Add(int64(e.deliveredN))
-	for _, fl := range cp.Floors {
-		e.delFloor[fl.Sender] = fl.Seq
-	}
-	for _, id := range cp.Residue {
-		e.delivered[id] = true
-	}
+	e.msgs.delivered.Load(cp.Floors, cp.Residue)
 	if len(cp.Views) > 0 && e.dynamic() {
 		views := make([]viewRec, len(cp.Views))
 		for i, v := range cp.Views {
@@ -156,41 +150,6 @@ func (e *Engine) rehydrate(cp *persist.Checkpoint) {
 	// conditions take over.
 	e.restartProbes = 2 * e.ctx.N()
 	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRestart, K: cp.Frontier, N: len(cp.Entries)})
-}
-
-// isDelivered reports whether the identifier has been adelivered here. Under
-// persistence the delivered set is compressed: per-sender contiguous floors
-// plus a sparse residue map above them (nil-map reads make both halves valid
-// for a non-persistent engine, where the floor is always 0).
-func (e *Engine) isDelivered(id msg.ID) bool {
-	if id.Seq <= e.delFloor[id.Sender] {
-		return true
-	}
-	return e.delivered[id]
-}
-
-// markDelivered records an adelivery. Without persistence the delivered map
-// simply grows; with it, an identifier extending its sender's contiguous
-// floor advances the floor (folding any residue that became contiguous), so
-// the map holds only the out-of-order remainder and memory stays bounded.
-func (e *Engine) markDelivered(id msg.ID) {
-	e.deliveredN++
-	e.deliveredC.Inc()
-	if e.pstore == nil {
-		e.delivered[id] = true
-		return
-	}
-	f := e.delFloor[id.Sender]
-	if id.Seq != f+1 {
-		e.delivered[id] = true
-		return
-	}
-	f++
-	for e.delivered[msg.ID{Sender: id.Sender, Seq: f + 1}] {
-		delete(e.delivered, msg.ID{Sender: id.Sender, Seq: f + 1})
-		f++
-	}
-	e.delFloor[id.Sender] = f
 }
 
 // noteSeq write-ahead-logs the engine's own broadcast sequence number,
@@ -276,18 +235,7 @@ func (e *Engine) buildCheckpoint(f uint64) *persist.Checkpoint {
 	for i, rec := range e.deliveredLog {
 		cp.Entries[i] = persist.Entry{ID: rec.id, K: rec.k}
 	}
-	floors := make([]persist.Floor, 0, len(e.delFloor))
-	for s, seq := range e.delFloor {
-		floors = append(floors, persist.Floor{Sender: s, Seq: seq})
-	}
-	sort.Slice(floors, func(i, j int) bool { return floors[i].Sender < floors[j].Sender })
-	cp.Floors = floors
-	residue := make([]msg.ID, 0, len(e.delivered))
-	for id := range e.delivered {
-		residue = append(residue, id)
-	}
-	sort.Slice(residue, func(i, j int) bool { return residue[i].Less(residue[j]) })
-	cp.Residue = residue
+	cp.Floors, cp.Residue = e.msgs.delivered.Export()
 	if e.dynamic() {
 		cp.Views = make([]persist.View, len(e.views))
 		for i, v := range e.views {
@@ -313,25 +261,10 @@ func (e *Engine) noteFrontier(q stack.ProcessID, f uint64) {
 // the boundary survives a restart of any member inside its own checkpoint,
 // so no one will ever need it from us again.
 func (e *Engine) pruneBoundary() uint64 {
+	members := e.node.Group()
 	if e.dynamic() {
-		return e.minFrontier(e.views[len(e.views)-1].members)
+		members = e.views[len(e.views)-1].members
 	}
-	b := uint64(0)
-	for q := stack.ProcessID(1); int(q) <= e.ctx.N(); q++ {
-		f := e.peerFrontier[q]
-		if f == 0 {
-			return 0
-		}
-		if b == 0 || f < b {
-			b = f
-		}
-	}
-	return b
-}
-
-// minFrontier is the minimum announced durable frontier over the given
-// member set (0 if any member has not announced one).
-func (e *Engine) minFrontier(members []stack.ProcessID) uint64 {
 	b := uint64(0)
 	for _, q := range members {
 		f := e.peerFrontier[q]
@@ -346,9 +279,10 @@ func (e *Engine) minFrontier(members []stack.ProcessID) uint64 {
 }
 
 // maybePrune drops the delivered prefix below the prune boundary: payloads
-// leave the received map, entries leave the delivered log (logBase advances
-// by the count), and the consensus relay floor rises so lagging peers route
-// to the snapshot path rather than a replay naming pruned payloads.
+// leave the message table and the diffusion layer, entries leave the
+// delivered log (logBase advances by the count), and the consensus relay
+// floor rises so lagging peers route to the snapshot path rather than a
+// replay naming pruned payloads.
 func (e *Engine) maybePrune() {
 	b := e.pruneBoundary()
 	if b <= e.prunedTo {
@@ -357,7 +291,8 @@ func (e *Engine) maybePrune() {
 	e.prunedTo = b
 	idx := 0
 	for idx < len(e.deliveredLog) && e.deliveredLog[idx].k < b {
-		delete(e.received, e.deliveredLog[idx].id)
+		e.msgs.prune(e.deliveredLog[idx].id)
+		e.rb.Release(e.deliveredLog[idx].id)
 		idx++
 	}
 	if idx == 0 {

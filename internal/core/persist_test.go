@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/persist"
@@ -31,6 +30,7 @@ type pcluster struct {
 	w        *simnet.World
 	params   netmodel.Params
 	interval time.Duration
+	rb       rbcast.Kind
 	// reopen returns the store for process p's next incarnation: the same
 	// MemStore across incarnations, or a fresh FileStore handle on the same
 	// directory (what a real restarted OS process would do).
@@ -42,7 +42,7 @@ type pcluster struct {
 	payloads  []map[msg.ID]string // cumulative
 }
 
-func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, reopen func(p int) persist.Store) *pcluster {
+func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, rb rbcast.Kind, reopen func(p int) persist.Store) *pcluster {
 	t.Helper()
 	params := netmodel.Setup1()
 	c := &pcluster{
@@ -50,6 +50,7 @@ func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, 
 		w:         simnet.NewWorld(n, params, seed),
 		params:    params,
 		interval:  interval,
+		rb:        rb,
 		reopen:    reopen,
 		engines:   make([]*Engine, n+1),
 		delivered: make([][]msg.ID, n+1),
@@ -68,11 +69,9 @@ func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, 
 // the previous incarnation checkpointed.
 func (c *pcluster) startProc(p int, node *stack.Node) {
 	c.t.Helper()
-	det := fd.NewHeartbeat(node, fd.DefaultConfig())
 	cfg := Config{
 		Variant:      VariantIndirectCT,
-		RB:           rbcast.KindEager,
-		Detector:     det,
+		RB:           c.rb,
 		RcvCheckCost: c.params.RcvCheckPerID,
 		Persist:      &PersistConfig{Store: c.reopen(p), Interval: c.interval},
 		Deliver: func(app *msg.App) {
@@ -178,16 +177,18 @@ func fileReopen(t *testing.T) func(p int) persist.Store {
 }
 
 // TestPersistBoundedMemory drives steady traffic with checkpointing on and
-// verifies the delivered prefix is pruned: received payloads and the retained
-// delivered-log suffix end far below the total delivered, while delivery
-// itself stays complete, totally ordered, and counted in full.
+// verifies the delivered prefix is pruned: received payloads, the retained
+// delivered-log suffix and what the diffusion layer keeps (the lazy broadcast
+// holds every unrelayed payload until the engine releases it) end far below
+// the total delivered, while delivery itself stays complete, totally
+// ordered, and counted in full.
 func TestPersistBoundedMemory(t *testing.T) {
-	c := newPersistCluster(t, 3, 7, 50*time.Millisecond, memReopen())
+	c := newPersistCluster(t, 3, 7, 50*time.Millisecond, rbcast.KindLazy, memReopen())
 	const total = 900
 	for s := 0; s < total; s++ {
 		c.abcast(s%3+1, time.Duration(s)*5*time.Millisecond, fmt.Sprintf("m-%d", s))
 	}
-	c.w.RunFor(30 * time.Second)
+	runChecked(t, c.w, c.engines, 30*time.Second)
 	for p := 1; p <= 3; p++ {
 		st := c.engines[p].Stats()
 		if st.Delivered != total {
@@ -204,9 +205,9 @@ func TestPersistBoundedMemory(t *testing.T) {
 			t.Fatalf("p%d: logBase never advanced", p)
 		}
 		o := c.engines[p].Observe()
-		if o.Received > total/4 || o.DeliveredLog > total/4 {
-			t.Fatalf("p%d: memory not bounded: received=%d deliveredLog=%d of %d delivered",
-				p, o.Received, o.DeliveredLog, total)
+		if kept := c.engines[p].rb.Retained(); o.Received > total/4 || o.DeliveredLog > total/4 || kept > total/4 {
+			t.Fatalf("p%d: memory not bounded: received=%d deliveredLog=%d diffusion=%d of %d delivered",
+				p, o.Received, o.DeliveredLog, kept, total)
 		}
 	}
 	checkSamePrefix(t, c.delivered[1], c.delivered[2], "p1", "p2")
@@ -220,7 +221,7 @@ func TestPersistBoundedMemory(t *testing.T) {
 // while down, post-restart order equal to the canonical tail, and new
 // broadcasts under fresh (non-aliasing) sequence numbers.
 func testRestart(t *testing.T, reopen func(p int) persist.Store) {
-	c := newPersistCluster(t, 3, 11, 50*time.Millisecond, reopen)
+	c := newPersistCluster(t, 3, 11, 50*time.Millisecond, rbcast.KindEager, reopen)
 	var want []string
 	send := func(p int, d time.Duration, payload string) {
 		c.abcast(p, d, payload)
@@ -251,7 +252,7 @@ func testRestart(t *testing.T, reopen func(p int) persist.Store) {
 		want = append(want, fmt.Sprintf("c-2-%d", s))
 		send(1, 7*time.Second+time.Duration(s*100)*time.Millisecond, fmt.Sprintf("c-1-%d", s))
 	}
-	c.w.RunFor(60 * time.Second)
+	runChecked(t, c.w, c.engines, 60*time.Second)
 
 	for p := 1; p <= 3; p++ {
 		have := make(map[string]bool, len(c.payloads[p]))
@@ -321,15 +322,15 @@ func TestNextPeerPrefersConfigured(t *testing.T) {
 
 // TestPersistSoakFlatMemory is the long-haul property: hours of simulated
 // time of steady traffic with checkpointing on, under repeated crash/restart
-// churn and partition episodes. The engine's payload map and delivered-log
-// suffix, sampled every simulated minute, must stay flat — bounded by repair
-// horizons, not by history — while delivery stays complete and totally
-// ordered across every restart.
+// churn and partition episodes. The engine's payload table and delivered-log
+// suffix and what the diffusion layer retains, sampled every simulated
+// minute, must stay flat — bounded by repair horizons, not by history —
+// while delivery stays complete and totally ordered across every restart.
 func TestPersistSoakFlatMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: hours of simulated time")
 	}
-	c := newPersistCluster(t, 3, 17, 200*time.Millisecond, memReopen())
+	c := newPersistCluster(t, 3, 17, 200*time.Millisecond, rbcast.KindEager, memReopen())
 	const dur = 2 * time.Hour
 
 	// Steady traffic from p1 (never crashed; its delivery log is canonical).
@@ -366,17 +367,17 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 
 	// Sample p1's memory profile every simulated minute.
 	type sample struct {
-		received, log int
+		received, log, diffusion int
 	}
 	var samples []sample
 	for at := time.Minute; at < dur; at += time.Minute {
 		c.w.Engine().After(at, func() {
 			o := c.engines[1].Observe()
-			samples = append(samples, sample{received: o.Received, log: o.DeliveredLog})
+			samples = append(samples, sample{received: o.Received, log: o.DeliveredLog, diffusion: c.engines[1].rb.Retained()})
 		})
 	}
 
-	c.w.RunFor(dur + 2*time.Minute)
+	runChecked(t, c.w, c.engines, dur+2*time.Minute)
 
 	total := sent + probes
 	for p := 1; p <= 3; p++ {
@@ -394,18 +395,15 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 	// peer is down or the network is cut (pruning needs everyone's durable
 	// frontier), but must never trend with history. A linear profile over
 	// ~7000 deliveries would blow far past this bound.
-	maxReceived, maxLog := 0, 0
+	maxReceived, maxLog, maxDiffusion := 0, 0, 0
 	for _, s := range samples {
-		if s.received > maxReceived {
-			maxReceived = s.received
-		}
-		if s.log > maxLog {
-			maxLog = s.log
-		}
+		maxReceived = max(maxReceived, s.received)
+		maxLog = max(maxLog, s.log)
+		maxDiffusion = max(maxDiffusion, s.diffusion)
 	}
-	if maxReceived > total/10 || maxLog > total/10 {
-		t.Fatalf("memory profile not flat: max received=%d max deliveredLog=%d over %d delivered",
-			maxReceived, maxLog, total)
+	if maxReceived > total/10 || maxLog > total/10 || maxDiffusion > total/10 {
+		t.Fatalf("memory profile not flat: max received=%d max deliveredLog=%d max diffusion=%d over %d delivered",
+			maxReceived, maxLog, maxDiffusion, total)
 	}
 	final := c.engines[1].Observe()
 	if final.Received > 128 || final.DeliveredLog > 128 {

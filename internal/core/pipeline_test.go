@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -193,19 +192,16 @@ func TestPipelinedMatchesSerialOrderProperties(t *testing.T) {
 // default.
 func TestPipelineValidation(t *testing.T) {
 	w := simnet.NewWorld(1, netmodel.Instant(), 1)
-	det := fd.NewHeartbeat(w.Node(1), fd.DefaultConfig())
 	if _, err := New(w.Node(1), Config{
 		Variant:  VariantIndirectCT,
-		Detector: det,
 		Deliver:  func(*msg.App) {},
 		Pipeline: -1,
 	}); err == nil {
 		t.Fatal("negative pipeline window accepted")
 	}
 	eng, err := New(w.Node(1), Config{
-		Variant:  VariantIndirectCT,
-		Detector: det,
-		Deliver:  func(*msg.App) {},
+		Variant: VariantIndirectCT,
+		Deliver: func(*msg.App) {},
 	})
 	if err != nil {
 		t.Fatal(err)

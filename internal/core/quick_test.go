@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/rbcast"
@@ -34,7 +33,7 @@ func TestSafetyPropertiesQuick(t *testing.T) {
 		}
 		crashAt := time.Duration(crashAt8) * 2 * time.Millisecond
 		c.w.After(1, crashAt, func() { c.w.Crash(3, simnet.DropInFlight) })
-		c.w.RunFor(15 * time.Second)
+		runChecked(t, c.w, c.engines, 15*time.Second)
 
 		// Prefix property between the two survivors.
 		a, b := c.delivered[1], c.delivered[2]
@@ -94,7 +93,7 @@ func TestSafetyPropertiesQuickPipelined(t *testing.T) {
 		}
 		crashAt := time.Duration(crashAt8) * 2 * time.Millisecond
 		c.w.After(1, crashAt, func() { c.w.Crash(3, simnet.DropInFlight) })
-		c.w.RunFor(15 * time.Second)
+		runChecked(t, c.w, c.engines, 15*time.Second)
 
 		a, b := c.delivered[1], c.delivered[2]
 		short := a
@@ -142,11 +141,9 @@ func newClusterQuick(n int, variant Variant, params netmodel.Params, seed int64,
 	for i := 1; i <= n; i++ {
 		i := i
 		node := c.w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		cfg := Config{
-			Variant:  variant,
-			RB:       rbcast.KindEager,
-			Detector: det,
+			Variant: variant,
+			RB:      rbcast.KindEager,
 			Deliver: func(app *msg.App) {
 				c.delivered[i] = append(c.delivered[i], app.ID)
 			},
@@ -182,7 +179,7 @@ func TestSoakLongRun(t *testing.T) {
 		size := (s % 5) * 400
 		c.abcast(p, at, string(make([]byte, size)))
 	}
-	c.w.RunFor(60 * time.Second)
+	runChecked(t, c.w, c.engines, 60*time.Second)
 	for p := 1; p <= 3; p++ {
 		st := c.engines[p].Stats()
 		if st.Delivered != total {

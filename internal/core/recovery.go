@@ -27,7 +27,6 @@ package core
 // integrity, ordering and re-proposal are untouched.
 
 import (
-	"sort"
 	"time"
 
 	"abcast/internal/msg"
@@ -131,28 +130,10 @@ func (e *Engine) LinkStats() relink.Stats {
 	return e.link.Stats()
 }
 
-// noteWanted records identifiers a failed rcv check revealed as proposed by
-// some peer but never received here, and arranges to fetch them. No-op
-// unless recovery is enabled.
-func (e *Engine) noteWanted(ids []msg.ID) {
-	if e.cfg.Recover == nil {
-		return
-	}
-	for _, id := range ids {
-		if e.received[id] == nil {
-			if e.wanted == nil {
-				e.wanted = make(map[msg.ID]bool)
-			}
-			e.wanted[id] = true
-		}
-	}
-	e.armFetch()
-}
-
 // needsFetch reports whether any payload is known missing: the ordered
 // queue's head (delivery is blocked) or an identifier seen in a proposal.
 func (e *Engine) needsFetch() bool {
-	return e.Blocked() || len(e.wanted) > 0
+	return e.msgs.blocked() || !e.msgs.wanted.Empty()
 }
 
 // armFetch schedules a payload fetch if one is warranted and none is
@@ -175,35 +156,7 @@ func (e *Engine) fetchTick() {
 	if !e.needsFetch() {
 		return
 	}
-	missing := make([]msg.ID, 0, fetchBatch)
-	seen := make(map[msg.ID]bool, fetchBatch)
-	for _, rec := range e.ordered {
-		if len(missing) == fetchBatch {
-			break
-		}
-		if e.received[rec.id] == nil && !seen[rec.id] {
-			missing = append(missing, rec.id)
-			seen[rec.id] = true
-		}
-	}
-	for id := range e.wanted {
-		if len(missing) == fetchBatch {
-			break
-		}
-		if e.received[id] != nil {
-			delete(e.wanted, id) // resolved by diffusion in the meantime
-			continue
-		}
-		if !seen[id] {
-			missing = append(missing, id)
-			seen[id] = true
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	// Canonical order: map iteration added wanted ids randomly.
-	sort.Slice(missing, func(i, j int) bool { return missing[i].Less(missing[j]) })
+	missing := e.msgs.missing(fetchBatch)
 	q := e.nextPeer(e.fetchAttempt)
 	e.fetchAttempt++
 	if q == 0 {
@@ -328,22 +281,9 @@ func (e *Engine) syncTick() {
 	e.armSyncReq()
 }
 
-// noteUnordered timestamps an identifier's entry into the unordered set and
-// arms the re-diffusion check. No-op unless recovery is enabled.
-func (e *Engine) noteUnordered(id msg.ID) {
-	if e.cfg.Recover == nil {
-		return
-	}
-	if e.unorderedSince == nil {
-		e.unorderedSince = make(map[msg.ID]time.Time)
-	}
-	e.unorderedSince[id] = e.ctx.Now()
-	e.armRediffuse()
-}
-
 // armRediffuse schedules the next unordered-age check if one is warranted.
 func (e *Engine) armRediffuse() {
-	if e.cfg.Recover == nil || e.rediffArmed || e.ctx.N() < 2 || e.unordered.Empty() {
+	if e.cfg.Recover == nil || e.rediffArmed || e.ctx.N() < 2 || e.msgs.unordered.Empty() {
 		return
 	}
 	e.rediffArmed = true
@@ -356,26 +296,10 @@ func (e *Engine) armRediffuse() {
 // deterministic.
 func (e *Engine) rediffuseTick() {
 	e.rediffArmed = false
-	if e.unordered.Empty() {
-		return
-	}
-	now := e.ctx.Now()
-	sent := 0
-	for _, id := range e.unordered.IDs() {
-		if sent == rediffuseBatch {
-			break
-		}
-		since, ok := e.unorderedSince[id]
-		if !ok || now.Sub(since) < rediffuseDelay {
-			continue
-		}
-		if app := e.received[id]; app != nil {
-			e.rb.Rebroadcast(app)
-			e.rediffusions.Inc()
-			e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRediffuse, ID: id})
-			e.unorderedSince[id] = now // next offer no sooner than +rediffuseDelay
-			sent++
-		}
+	for _, app := range e.msgs.stale(e.ctx.Now(), rediffuseDelay, rediffuseBatch) {
+		e.rb.Rebroadcast(app)
+		e.rediffusions.Inc()
+		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRediffuse, ID: app.ID})
 	}
 	e.armRediffuse()
 }
@@ -386,7 +310,7 @@ func (e *Engine) onSync(from stack.ProcessID, _ uint64, m stack.Message) {
 	case FetchMsg:
 		apps := make([]*msg.App, 0, len(mm.IDs))
 		for _, id := range mm.IDs {
-			if a := e.received[id]; a != nil {
+			if a := e.msgs.payload(id); a != nil {
 				apps = append(apps, a)
 			}
 		}

@@ -49,8 +49,10 @@ package core
 // the remainder cannot reorder anything.
 
 import (
+	"maps"
 	"time"
 
+	"abcast/internal/consensus"
 	"abcast/internal/msg"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
@@ -197,7 +199,7 @@ func (e *Engine) onSnapOffer(from stack.ProcessID, m SnapOfferMsg) {
 // sequence from position `from`, truncated at an instance boundary once
 // snapshotMax entries are exceeded, split into snapshotChunk-sized chunks.
 func (e *Engine) serveSnapshot(q stack.ProcessID, from uint64) {
-	total := e.logBase + uint64(len(e.deliveredLog)+len(e.ordered))
+	total := e.logBase + uint64(len(e.deliveredLog)+len(e.msgs.ordered))
 	if q == e.ctx.ID() || from >= total {
 		return // nothing to transfer (the peer caught up some other way)
 	}
@@ -227,7 +229,7 @@ func (e *Engine) serveSnapshot(q stack.ProcessID, from uint64) {
 	entries := make([]SnapEntry, len(recs))
 	for i, r := range recs {
 		en := SnapEntry{ID: r.id, K: r.k}
-		if app := e.received[r.id]; app != nil {
+		if app := e.msgs.payload(r.id); app != nil {
 			en.Payload = app.Payload
 			en.Cfg = app.Config
 		} else {
@@ -263,7 +265,7 @@ func (e *Engine) decidedAt(i uint64) ordRec {
 	if i < uint64(len(e.deliveredLog)) {
 		return e.deliveredLog[i]
 	}
-	return e.ordered[i-uint64(len(e.deliveredLog))]
+	return e.msgs.ordered[i-uint64(len(e.deliveredLog))]
 }
 
 // onSnapChunk collects transfer chunks and installs once the set is
@@ -351,25 +353,15 @@ func (e *Engine) installSnapshot(producer stack.ProcessID, boundary, start uint6
 	entries = entries[skip:]
 
 	// Rebuild the ordered queue from the snapshot's decided suffix.
-	for _, rec := range e.ordered {
-		delete(e.inOrdered, rec.id)
-	}
-	e.ordered = e.ordered[:0]
+	e.msgs.unqueue()
+	now := e.ctx.Now()
 	for _, en := range entries {
-		if e.isDelivered(en.ID) {
-			continue
+		if !en.Missing && e.msgs.payload(en.ID) == nil &&
+			e.msgs.receive(&msg.App{ID: en.ID, Payload: en.Payload, Config: en.Cfg}, now, false) {
+			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: en.ID})
 		}
-		if !en.Missing && e.received[en.ID] == nil {
-			e.received[en.ID] = &msg.App{ID: en.ID, Payload: en.Payload, Config: en.Cfg}
-			e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindReceive, ID: en.ID})
-			delete(e.wanted, en.ID)
-		}
-		e.unordered.Remove(en.ID)
-		delete(e.unorderedSince, en.ID)
-		if !e.inOrdered[en.ID] {
-			e.ordered = append(e.ordered, ordRec{id: en.ID, k: en.K})
-			e.inOrdered[en.ID] = true
-			e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindOrdered, ID: en.ID, K: en.K})
+		if e.msgs.order(en.ID, en.K) {
+			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindOrdered, ID: en.ID, K: en.K})
 		}
 	}
 
@@ -378,24 +370,14 @@ func (e *Engine) installSnapshot(producer stack.ProcessID, boundary, start uint6
 	// identifiers, unclaimed again, will be re-proposed to live instances),
 	// and pending decisions below it are subsumed.
 	e.kNext = boundary
-	for k, batch := range e.inFlight {
+	for k, p := range e.inFlight {
 		if k < boundary {
 			delete(e.inFlight, k)
-			for _, id := range batch.IDs() {
-				delete(e.claimed, id)
-			}
+			e.msgs.release(p.ids.RawIDs())
 		}
 	}
-	for k := range e.pending {
-		if k < boundary {
-			delete(e.pending, k)
-		}
-	}
-	for k := range e.needed {
-		if k < boundary {
-			delete(e.needed, k)
-		}
-	}
+	maps.DeleteFunc(e.pending, func(k uint64, _ consensus.Value) bool { return k < boundary })
+	maps.DeleteFunc(e.needed, func(k uint64, _ bool) bool { return k < boundary })
 	if e.kPropose < e.kNext {
 		e.kPropose = e.kNext
 	}

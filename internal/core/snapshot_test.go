@@ -110,7 +110,7 @@ func deepLagRun(t *testing.T, seed int64, pipeline bool, mutate ...func(*Config)
 	}
 	c.w.After(1, cutAt, func() { c.w.Partition(simnet.PartitionDrop, []stack.ProcessID{n}) })
 	c.w.After(1, healAt, func() { c.w.Heal() })
-	c.w.RunFor(40 * time.Second)
+	runChecked(t, c.w, c.engines, 40*time.Second)
 	return c, sent, majoritySent
 }
 

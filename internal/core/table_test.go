@@ -1,0 +1,110 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"abcast/internal/msg"
+	"abcast/internal/simnet"
+)
+
+// checkTable holds an engine's message table to its invariants. The table's
+// transitions are supposed to make these true by construction; the
+// randomized suites call this between simulation slices (runChecked) so that
+// crashes, partitions, snapshots, restarts and CorruptVolatile all get a
+// chance to break them.
+func checkTable(t testing.TB, e *Engine) {
+	t.Helper()
+	tb := &e.msgs
+	p := e.ctx.ID()
+
+	queued := make(map[msg.ID]bool, len(tb.ordered))
+	for _, rec := range tb.ordered {
+		if queued[rec.id] {
+			t.Errorf("p%d: %v queued twice in ordered", p, rec.id)
+		}
+		queued[rec.id] = true
+	}
+	ids := tb.unordered.RawIDs()
+	for i := 1; i < len(ids); i++ {
+		if !ids[i-1].Less(ids[i]) {
+			t.Errorf("p%d: unordered index out of order at %d: %v, %v", p, i, ids[i-1], ids[i])
+		}
+	}
+
+	// Every record is in exactly the place its phase names, and nowhere else.
+	held, claimed, unordered, ordered := 0, 0, 0, 0
+	for id, en := range tb.entries {
+		if en.app != nil {
+			held++
+			if en.app.ID != id {
+				t.Errorf("p%d: %v holds the payload of %v", p, id, en.app.ID)
+			}
+		}
+		if en.claimed {
+			claimed++
+		}
+		if en.app == nil && !en.claimed && (en.phase == phaseNone || en.phase == phaseDelivered) {
+			t.Errorf("p%d: %v has a record that says nothing (phase %d)", p, id, en.phase)
+		}
+		if en.phase == phaseUnordered {
+			unordered++
+			if en.app == nil {
+				t.Errorf("p%d: %v is unordered without a payload", p, id)
+			}
+		}
+		if en.phase == phaseOrdered {
+			ordered++
+		}
+		if got := tb.unordered.Contains(id); got != (en.phase == phaseUnordered) {
+			t.Errorf("p%d: %v phase %d, in unordered index: %v", p, id, en.phase, got)
+		}
+		if queued[id] != (en.phase == phaseOrdered) {
+			t.Errorf("p%d: %v phase %d, in ordered queue: %v", p, id, en.phase, queued[id])
+		}
+		if got := tb.delivered.Has(id); got != (en.phase == phaseDelivered) {
+			t.Errorf("p%d: %v phase %d, in delivered set: %v", p, id, en.phase, got)
+		}
+	}
+	// With the per-record checks above, equal sizes make the index and the
+	// queue exactly the phase-unordered and phase-ordered records.
+	if unordered != tb.unordered.Len() || ordered != len(tb.ordered) {
+		t.Errorf("p%d: %d unordered records vs index of %d; %d ordered records vs queue of %d",
+			p, unordered, tb.unordered.Len(), ordered, len(tb.ordered))
+	}
+	if held != tb.held || claimed != tb.claimed {
+		t.Errorf("p%d: counters held=%d claimed=%d, recount %d and %d", p, tb.held, tb.claimed, held, claimed)
+	}
+	for _, id := range tb.wanted.RawIDs() {
+		if tb.payload(id) != nil {
+			t.Errorf("p%d: %v is wanted and held", p, id)
+		}
+	}
+	// The claims are exactly this process's outstanding proposals.
+	inFlight := 0
+	for _, prop := range e.inFlight {
+		inFlight += prop.ids.Len()
+		for _, id := range prop.ids.RawIDs() {
+			if !tb.entries[id].claimed {
+				t.Errorf("p%d: %v is in an outstanding proposal but not claimed", p, id)
+			}
+		}
+	}
+	if inFlight != tb.claimed {
+		t.Errorf("p%d: %d identifiers in outstanding proposals, %d claimed", p, inFlight, tb.claimed)
+	}
+}
+
+// runChecked is World.RunFor(d) cut into slices, with checkTable on every
+// engine in between. engines is read afresh each slice (index 0 unused), so a
+// harness that swaps in a restarted incarnation gets the new one checked.
+func runChecked(t testing.TB, w *simnet.World, engines []*Engine, d time.Duration) {
+	t.Helper()
+	const slices = 400
+	for i := 0; i < slices; i++ {
+		w.RunFor(d / slices)
+		for _, e := range engines[1:] {
+			checkTable(t, e)
+		}
+	}
+}

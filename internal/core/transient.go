@@ -1,7 +1,5 @@
 package core
 
-import "abcast/internal/msg"
-
 // Transient-fault injection (tests only).
 //
 // SSABC-style self-stabilization work asks what happens when a process's
@@ -31,41 +29,15 @@ import "abcast/internal/msg"
 //
 //abcheck:entry test hook; tests invoke it on the owning event loop (simnet.World.Do)
 func (e *Engine) CorruptVolatile() {
-	// Payloads that were received but not yet delivered vanish: both the
-	// ordered-but-undelivered head and the unordered pool. Deleting while
-	// ranging is safe (commutative), and the delivered prefix stays.
-	for _, rec := range e.ordered {
-		delete(e.received, rec.id)
-		delete(e.inOrdered, rec.id)
-	}
-	e.ordered = e.ordered[:0]
-	for _, id := range e.unordered.IDs() {
-		delete(e.received, id)
-	}
-	e.unordered = msg.NewIDSet()
-	for id := range e.unorderedSince {
-		delete(e.unorderedSince, id)
-	}
+	// Payloads that were received but not yet delivered vanish with the
+	// unordered pool, the ordered queue, the claims and the fetch list; the
+	// delivered prefix stays.
+	e.msgs.corruptVolatile()
 
 	// Proposal and consumption bookkeeping around kNext.
-	for k := range e.inFlight {
-		delete(e.inFlight, k)
-	}
-	for id := range e.claimed {
-		delete(e.claimed, id)
-	}
-	for k := range e.needed {
-		delete(e.needed, k)
-	}
-	for k := range e.pending {
-		delete(e.pending, k)
-	}
-	for k := range e.proposedAt {
-		delete(e.proposedAt, k)
-	}
-	for id := range e.wanted {
-		delete(e.wanted, id)
-	}
+	clear(e.inFlight)
+	clear(e.needed)
+	clear(e.pending)
 
 	// The consensus layer's memory of settled instances at/after kNext must
 	// go with the queues: its decide-path dedup would otherwise drop the

@@ -81,7 +81,7 @@ func TestTransientFaultRecovery(t *testing.T) {
 
 		const victim = stack.ProcessID(2)
 		fired := corruptOnBacklog(c, victim, 1200*time.Millisecond)
-		c.w.RunFor(40 * time.Second)
+		runChecked(t, c.w, c.engines, 40*time.Second)
 
 		if !*fired {
 			t.Fatalf("fault injector never found backlog to wipe; schedule too sparse")
@@ -121,7 +121,7 @@ func TestTransientFaultWithoutRecoveryWedges(t *testing.T) {
 
 	const victim = stack.ProcessID(2)
 	fired := corruptOnBacklog(c, victim, 1200*time.Millisecond)
-	c.w.RunFor(40 * time.Second)
+	runChecked(t, c.w, c.engines, 40*time.Second)
 
 	if !*fired {
 		t.Fatalf("fault injector never found backlog to wipe; schedule too sparse")

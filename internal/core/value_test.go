@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abcast/internal/fd"
+	"abcast/internal/metrics"
 	"abcast/internal/msg"
 	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
@@ -76,8 +77,20 @@ func TestConfigValidationCore(t *testing.T) {
 	if _, err := New(w.Node(1), Config{}); err == nil {
 		t.Error("nil Deliver accepted")
 	}
-	if _, err := New(w.Node(1), Config{Deliver: func(*msg.App) {}}); err == nil {
-		t.Error("nil detector accepted")
+	if _, err := New(w.Node(1), Config{Deliver: func(*msg.App) {}, Variant: Variant(99)}); err == nil {
+		t.Error("unknown variant accepted")
+	}
+	// A nil Detector is not an error: the engine makes the default heartbeat
+	// detector, and it runs.
+	reg := metrics.New()
+	e, err := New(w.Node(1), Config{Variant: VariantIndirectCT, Deliver: func(*msg.App) {}, Metrics: reg})
+	if err != nil {
+		t.Fatalf("nil detector rejected: %v", err)
+	}
+	w.RunFor(time.Second)
+	if _, ok := e.cfg.Detector.(*fd.Heartbeat); !ok || reg.Snapshot()["fd.heartbeats_sent"] == 0 {
+		t.Errorf("default detector = %T, %d heartbeats sent; want a running *fd.Heartbeat",
+			e.cfg.Detector, reg.Snapshot()["fd.heartbeats_sent"])
 	}
 }
 
@@ -90,11 +103,9 @@ func TestMaxBatchOneInstancePerMessage(t *testing.T) {
 	deliveredTotal := 0
 	for i := 1; i <= n; i++ {
 		node := w.Node(stack.ProcessID(i))
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		eng, err := New(node, Config{
 			Variant:  VariantIndirectCT,
 			RB:       rbcast.KindEager,
-			Detector: det,
 			MaxBatch: 1,
 			Deliver: func(*msg.App) {
 				deliveredTotal++

@@ -10,10 +10,14 @@
 //     need for termination.
 //   - Scripted: a detector whose suspicions are driven explicitly by tests,
 //     used to build the adversarial schedules of Sections 2.2 and 3.3.
+//
+// A detector is shared by the layers of one stack, each subscribing once, at
+// construction; notification is in subscription order and costs no
+// allocation.
 package fd
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"abcast/internal/metrics"
@@ -26,45 +30,23 @@ import (
 type Detector interface {
 	// Suspects reports whether q is currently suspected.
 	Suspects(q stack.ProcessID) bool
-	// Subscribe registers fn to be called whenever the suspicion status
-	// of any process changes. The returned function unsubscribes.
-	Subscribe(fn func(q stack.ProcessID, suspected bool)) (cancel func())
+	// Subscribe registers fn to be called, for the detector's lifetime,
+	// whenever the suspicion status of any process changes. Subscribers are
+	// the layers of one stack (the lazy broadcast, then the consensus
+	// service — which fans out to its instances itself), wired once at
+	// construction.
+	Subscribe(fn func(q stack.ProcessID, suspected bool))
 }
 
-// subscriptions is shared by the detector implementations.
-type subscriptions struct {
-	nextKey int
-	subs    map[int]func(stack.ProcessID, bool)
-}
+// subscriptions is shared by the detector implementations: the subscribers
+// in the order they registered, which is the order they are notified in —
+// the order in which layers react to a suspicion decides the order of the
+// messages they send, so it must not depend on a map.
+type subscriptions []func(stack.ProcessID, bool)
 
-func (s *subscriptions) subscribe(fn func(stack.ProcessID, bool)) func() {
-	if s.subs == nil {
-		s.subs = make(map[int]func(stack.ProcessID, bool))
-	}
-	key := s.nextKey
-	s.nextKey++
-	s.subs[key] = fn
-	return func() { delete(s.subs, key) }
-}
-
-func (s *subscriptions) notify(q stack.ProcessID, suspected bool) {
-	// Notify in subscription order, not map order: several consensus
-	// instances subscribe concurrently under pipelining, and the order in
-	// which they react to a suspicion determines the order of their round
-	// messages — iterating the map directly made whole simulation runs
-	// nondeterministic (observed as run-to-run diffs in the g3 recovery
-	// curves before the bench-determinism CI gate pinned this down).
-	keys := make([]int, 0, len(s.subs))
-	for k := range s.subs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		// A callback may unsubscribe others (an instance deciding cancels
-		// its subscription); skip the ones gone by the time we reach them.
-		if fn, ok := s.subs[k]; ok {
-			fn(q, suspected)
-		}
+func (s subscriptions) notify(q stack.ProcessID, suspected bool) {
+	for _, fn := range s {
+		fn(q, suspected)
 	}
 }
 
@@ -108,22 +90,27 @@ type Heartbeat struct {
 	proto stack.Proto
 	cfg   Config
 
-	suspected map[stack.ProcessID]bool
-	timeout   map[stack.ProcessID]time.Duration
-	cancelTO  map[stack.ProcessID]func()
-	subs      subscriptions
-	stopped   bool
-	cancelHB  func()
-	// dynamic is set once SetMembers has been called: the monitored set is
-	// then exactly the cancelTO key set instead of the static 1..N, and a
-	// non-monitored process is treated as permanently suspected (a retired
-	// member must never block a quorum wait).
-	dynamic bool
+	// peers has one record per monitored process, in increasing id; a
+	// process is monitored iff it has one. Initially that is everyone but
+	// self, SetMembers retargets it. Any other process counts as permanently
+	// suspected (a retired member must never block a quorum wait).
+	peers    []*peer
+	subs     subscriptions
+	stopped  bool
+	cancelHB func()
 
 	// Counter cells, registered under fd.* when Config.Metrics is set.
 	heartbeats   *metrics.Counter
 	suspicions   *metrics.Counter
 	unsuspicions *metrics.Counter
+}
+
+// peer is the detector's state for one monitored process.
+type peer struct {
+	id        stack.ProcessID
+	suspected bool
+	timeout   time.Duration // current, adapted on every wrong suspicion
+	cancel    func()        // the armed suspicion timer
 }
 
 // MemberAware is implemented by detectors that can retarget their monitored
@@ -140,11 +127,8 @@ var _ Detector = (*Heartbeat)(nil)
 // stack.ProtoFD and starts emitting heartbeats.
 func NewHeartbeat(node *stack.Node, cfg Config) *Heartbeat {
 	h := &Heartbeat{
-		proto:     node.Proto(stack.ProtoFD),
-		cfg:       cfg,
-		suspected: make(map[stack.ProcessID]bool),
-		timeout:   make(map[stack.ProcessID]time.Duration),
-		cancelTO:  make(map[stack.ProcessID]func()),
+		proto: node.Proto(stack.ProtoFD),
+		cfg:   cfg,
 
 		heartbeats:   cfg.Metrics.Counter("fd.heartbeats_sent"),
 		suspicions:   cfg.Metrics.Counter("fd.suspicions"),
@@ -153,14 +137,33 @@ func NewHeartbeat(node *stack.Node, cfg Config) *Heartbeat {
 	node.Register(stack.ProtoFD, stack.HandlerFunc(h.receive))
 	ctx := h.proto.Ctx()
 	for q := stack.ProcessID(1); q <= stack.ProcessID(ctx.N()); q++ {
-		if q == ctx.ID() {
-			continue
+		if q != ctx.ID() {
+			h.monitor(q)
 		}
-		h.timeout[q] = cfg.InitialTimeout
-		h.armTimeout(q)
 	}
 	h.tick()
 	return h
+}
+
+// monitor starts monitoring q, trusted with a fresh InitialTimeout.
+func (h *Heartbeat) monitor(q stack.ProcessID) {
+	p := &peer{id: q, timeout: h.cfg.InitialTimeout}
+	i := slices.IndexFunc(h.peers, func(o *peer) bool { return o.id > q })
+	if i < 0 {
+		i = len(h.peers)
+	}
+	h.peers = slices.Insert(h.peers, i, p) // kept in increasing id
+	h.armTimeout(p)
+}
+
+// peer returns q's record, nil if q is not monitored.
+func (h *Heartbeat) peer(q stack.ProcessID) *peer {
+	for _, p := range h.peers {
+		if p.id == q {
+			return p
+		}
+	}
+	return nil
 }
 
 // Stop halts heartbeat emission and all timeout timers.
@@ -169,17 +172,8 @@ func (h *Heartbeat) Stop() {
 	if h.cancelHB != nil {
 		h.cancelHB()
 	}
-	// Cancel in process order, not map order. Timer cancellation is
-	// commutative today (Cancel only marks the event dead), but running
-	// stored callbacks in map order is exactly the failure class that made
-	// notify() nondeterministic, so hold the same line here.
-	ids := make([]stack.ProcessID, 0, len(h.cancelTO))
-	for q := range h.cancelTO {
-		ids = append(ids, q)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, q := range ids {
-		h.cancelTO[q]()
+	for _, p := range h.peers {
+		p.cancel()
 	}
 }
 
@@ -189,56 +183,35 @@ func (h *Heartbeat) Stop() {
 // suspected immediately — it has retired and must never again block a quorum
 // or coordinator wait, so instances still draining under an old view rotate
 // past it at once. A newly added peer starts trusted with a fresh
-// InitialTimeout. After the first call the detector is dynamic: heartbeats
-// from non-monitored processes are ignored and non-monitored ≠ self queries
-// report suspected.
+// InitialTimeout.
 //
 //abcheck:entry cross-package API; the engine calls it from its own event-loop callbacks
 func (h *Heartbeat) SetMembers(members []stack.ProcessID) {
-	h.dynamic = true
-	self := h.proto.Ctx().ID()
-	want := make(map[stack.ProcessID]bool, len(members))
-	for _, q := range members {
-		if q != self {
-			want[q] = true
-		}
-	}
-	// Drop retired peers, in process order for deterministic notification.
-	current := make([]stack.ProcessID, 0, len(h.cancelTO))
-	for q := range h.cancelTO {
-		current = append(current, q)
-	}
-	sort.Slice(current, func(i, j int) bool { return current[i] < current[j] })
-	for _, q := range current {
-		if want[q] {
+	// Drop retired peers one at a time, in process order: subscribers see
+	// each suspicion with the peers after it still monitored.
+	for i := 0; i < len(h.peers); {
+		p := h.peers[i]
+		if slices.Contains(members, p.id) {
+			i++
 			continue
 		}
-		if cancel := h.cancelTO[q]; cancel != nil {
-			cancel()
-		}
-		delete(h.cancelTO, q)
-		delete(h.timeout, q)
-		if !h.suspected[q] {
-			h.suspected[q] = true
+		p.cancel()
+		h.peers = slices.Delete(h.peers, i, i+1)
+		if !p.suspected {
 			h.suspicions.Inc()
-			h.subs.notify(q, true)
+			h.subs.notify(p.id, true)
 		}
 	}
-	// Arm new peers, in member order (the caller passes a sorted view).
+	// Admit new peers, in member order (the caller passes a sorted view).
+	// Everyone starts out monitored, so a process being admitted was dropped
+	// — reported suspected — before: take that back first.
 	for _, q := range members {
-		if q == self {
+		if h.peer(q) != nil || q == h.proto.Ctx().ID() {
 			continue
 		}
-		if _, monitored := h.cancelTO[q]; monitored {
-			continue
-		}
-		h.timeout[q] = h.cfg.InitialTimeout
-		if h.suspected[q] {
-			h.suspected[q] = false
-			h.unsuspicions.Inc()
-			h.subs.notify(q, false)
-		}
-		h.armTimeout(q)
+		h.unsuspicions.Inc()
+		h.subs.notify(q, false)
+		h.monitor(q)
 	}
 }
 
@@ -256,60 +229,51 @@ func (h *Heartbeat) tick() {
 
 // receive handles an incoming heartbeat from q.
 func (h *Heartbeat) receive(q stack.ProcessID, _ uint64, m stack.Message) {
-	if _, ok := m.(HeartbeatMsg); !ok || h.stopped {
-		return
+	p := h.peer(q)
+	if _, ok := m.(HeartbeatMsg); !ok || h.stopped || p == nil {
+		return // p == nil: a retired peer's in-flight heartbeat must not re-arm it
 	}
-	if h.dynamic {
-		if _, monitored := h.cancelTO[q]; !monitored {
-			return // a retired peer's in-flight heartbeat must not re-arm it
-		}
-	}
-	if h.suspected[q] {
+	if p.suspected {
 		// Wrong suspicion: restore trust and adapt the timeout.
-		h.suspected[q] = false
-		to := h.timeout[q] + h.cfg.TimeoutIncrement
-		if h.cfg.MaxTimeout > 0 && to > h.cfg.MaxTimeout {
-			to = h.cfg.MaxTimeout
+		p.suspected = false
+		p.timeout += h.cfg.TimeoutIncrement
+		if h.cfg.MaxTimeout > 0 && p.timeout > h.cfg.MaxTimeout {
+			p.timeout = h.cfg.MaxTimeout
 		}
-		h.timeout[q] = to
 		h.unsuspicions.Inc()
 		h.subs.notify(q, false)
 	}
-	h.armTimeout(q)
+	h.armTimeout(p)
 }
 
-// armTimeout (re)starts the suspicion timer for q.
-func (h *Heartbeat) armTimeout(q stack.ProcessID) {
-	if cancel, ok := h.cancelTO[q]; ok && cancel != nil {
-		cancel()
+// armTimeout (re)starts p's suspicion timer.
+func (h *Heartbeat) armTimeout(p *peer) {
+	if p.cancel != nil {
+		p.cancel()
 	}
-	h.cancelTO[q] = h.proto.Ctx().SetTimer(h.timeout[q], func() {
-		if h.stopped || h.suspected[q] {
+	p.cancel = h.proto.Ctx().SetTimer(p.timeout, func() {
+		if h.stopped || p.suspected {
 			return
 		}
-		h.suspected[q] = true
+		p.suspected = true
 		h.suspicions.Inc()
-		h.subs.notify(q, true)
+		h.subs.notify(p.id, true)
 	})
 }
 
-// Suspects implements Detector. Under dynamic membership a non-monitored
-// process other than self counts as suspected: consensus instances draining
-// an old view that still names a retired member must rotate past it without
-// waiting out a heartbeat timeout that will never be re-armed.
+// Suspects implements Detector. A non-monitored process other than self
+// counts as suspected: consensus instances draining an old view that still
+// names a retired member must rotate past it without waiting out a heartbeat
+// timeout that will never be re-armed.
 func (h *Heartbeat) Suspects(q stack.ProcessID) bool {
-	if h.dynamic && q != h.proto.Ctx().ID() {
-		if _, monitored := h.cancelTO[q]; !monitored {
-			return true
-		}
+	if p := h.peer(q); p != nil {
+		return p.suspected
 	}
-	return h.suspected[q]
+	return q != h.proto.Ctx().ID()
 }
 
 // Subscribe implements Detector.
-func (h *Heartbeat) Subscribe(fn func(stack.ProcessID, bool)) func() {
-	return h.subs.subscribe(fn)
-}
+func (h *Heartbeat) Subscribe(fn func(stack.ProcessID, bool)) { h.subs = append(h.subs, fn) }
 
 // Scripted is a failure detector fully controlled by the test harness.
 type Scripted struct {
@@ -337,6 +301,4 @@ func (s *Scripted) SetSuspected(q stack.ProcessID, suspected bool) {
 func (s *Scripted) Suspects(q stack.ProcessID) bool { return s.suspected[q] }
 
 // Subscribe implements Detector.
-func (s *Scripted) Subscribe(fn func(stack.ProcessID, bool)) func() {
-	return s.subs.subscribe(fn)
-}
+func (s *Scripted) Subscribe(fn func(stack.ProcessID, bool)) { s.subs = append(s.subs, fn) }

@@ -12,6 +12,11 @@
 // the engine's unordered/ordered bookkeeping, and a wire footprint that
 // depends only on the number of identifiers — the decoupling of consensus
 // cost from payload size that motivates the whole approach.
+//
+// SeenSet (seenset.go) is the other set of identifiers: append-only, and
+// compressed along the way identifiers are numbered. Every layer that asks
+// "have I seen id(m)" — the engine's adelivered set, each broadcast's
+// duplicate suppression, the persist checkpoint's digest — asks one.
 package msg
 
 import (
@@ -142,22 +147,6 @@ func (s *IDSet) Remove(id ID) bool {
 	}
 	s.ids = append(s.ids[:i], s.ids[i+1:]...)
 	return true
-}
-
-// RemoveAll deletes every identifier of other from s.
-func (s *IDSet) RemoveAll(other IDSet) {
-	for _, id := range other.ids {
-		s.Remove(id)
-	}
-}
-
-// Union returns a new set with the elements of both sets.
-func (s IDSet) Union(other IDSet) IDSet {
-	out := NewIDSet(s.ids...)
-	for _, id := range other.ids {
-		out.Add(id)
-	}
-	return out
 }
 
 // Clone returns an independent copy.

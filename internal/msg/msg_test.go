@@ -75,13 +75,6 @@ func TestIDSetCanonicalOrder(t *testing.T) {
 func TestIDSetUnionCloneEqual(t *testing.T) {
 	a := NewIDSet(id(1, 1), id(2, 2))
 	b := NewIDSet(id(2, 2), id(3, 3))
-	u := a.Union(b)
-	if u.Len() != 3 {
-		t.Fatalf("union len = %d", u.Len())
-	}
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatal("union mutated its operands")
-	}
 	c := a.Clone()
 	c.Add(id(9, 9))
 	if a.Contains(id(9, 9)) {
@@ -92,14 +85,6 @@ func TestIDSetUnionCloneEqual(t *testing.T) {
 	}
 	if a.Equal(b) {
 		t.Fatal("Equal of different sets = true")
-	}
-}
-
-func TestIDSetRemoveAll(t *testing.T) {
-	a := NewIDSet(id(1, 1), id(1, 2), id(2, 1), id(2, 2))
-	a.RemoveAll(NewIDSet(id(1, 2), id(2, 1), id(5, 5)))
-	if !a.Equal(NewIDSet(id(1, 1), id(2, 2))) {
-		t.Fatalf("RemoveAll left %v", a)
 	}
 }
 

@@ -47,12 +47,10 @@ type Entry struct {
 	K  uint64
 }
 
-// Floor is one per-sender contiguous delivered floor: every identifier of
-// Sender with sequence number ≤ Seq has been adelivered here.
-type Floor struct {
-	Sender stack.ProcessID
-	Seq    uint64
-}
+// Floor is one per-sender contiguous delivered floor, named by the last
+// identifier of the prefix: every identifier of Sender with sequence number
+// ≤ Seq has been adelivered here (msg.SeenSet's exported form).
+type Floor = msg.ID
 
 // View is one applied membership view: Members is the consensus member set
 // effective from instance Eff onward.

@@ -17,9 +17,16 @@
 // All three satisfy Validity, Uniform integrity and Agreement; Uniform
 // additionally satisfies uniform agreement (if *any* process delivers m,
 // every correct process eventually delivers m).
+//
+// All three decide "seen before" through a msg.SeenSet, so duplicate
+// suppression costs O(senders) however long the run; what a broadcast holds
+// beyond that — Lazy's unrelayed payloads, Uniform's undelivered records —
+// it drops at Release.
 package rbcast
 
 import (
+	"slices"
+
 	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/stack"
@@ -42,6 +49,17 @@ type Broadcaster interface {
 	// unordered too long; receivers that already hold the message drop the
 	// duplicate, so delivery stays at-most-once.
 	Rebroadcast(app *msg.App)
+	// Release tells the broadcast that every member holds the message
+	// durably (the engine calls it where the payload leaves its own table,
+	// under persistence): whatever the broadcast retained for it — a payload
+	// kept for a suspicion-triggered relay, holder bookkeeping — can go. The
+	// identifier stays seen, so a straggling copy is still dropped without a
+	// relay or an echo.
+	Release(id msg.ID)
+	// Retained reports how many per-message and per-sender entries the
+	// broadcast currently keeps (for tests and monitoring): bounded by the
+	// number of senders plus the unreleased messages.
+	Retained() int
 }
 
 // Kind selects a broadcast algorithm.
@@ -85,49 +103,54 @@ type EchoMsg struct {
 // WireSize implements stack.Message.
 func (e EchoMsg) WireSize() int { return 1 + e.App.WireSize() }
 
-// Eager is the O(n²) reliable broadcast.
-type Eager struct {
-	proto     stack.Proto
-	deliver   Deliver
-	delivered map[msg.ID]bool
+// diffusion is what the three broadcasts share: the protocol handle, the
+// upcall, and the identifiers already seen — which is all that Eager keeps,
+// so its Release and Retained are the defaults here.
+type diffusion struct {
+	proto   stack.Proto
+	deliver Deliver
+	seen    msg.SeenSet
 }
+
+// Broadcast implements Broadcaster for the reliable broadcasts: send to the
+// others, deliver locally.
+func (d *diffusion) Broadcast(app *msg.App) {
+	if d.seen.Add(app.ID) {
+		d.proto.BroadcastOthers(0, DataMsg{App: app})
+		d.deliver(app)
+	}
+}
+
+// Rebroadcast implements Broadcaster: re-send the data message to the other
+// processes. No local re-delivery; receivers dedupe (Uniform's re-run their
+// holder/echo bookkeeping idempotently).
+func (d *diffusion) Rebroadcast(app *msg.App) { d.proto.BroadcastOthers(0, DataMsg{App: app}) }
+
+// Release implements Broadcaster: nothing is held but the seen set, which
+// keeps the identifier.
+func (d *diffusion) Release(msg.ID) {}
+
+// Retained implements Broadcaster.
+func (d *diffusion) Retained() int { return d.seen.Entries() }
+
+// Eager is the O(n²) reliable broadcast.
+type Eager struct{ diffusion }
 
 var _ Broadcaster = (*Eager)(nil)
 
 // NewEager wires an eager reliable broadcast into the node under
 // stack.ProtoRB.
 func NewEager(node *stack.Node, deliver Deliver) *Eager {
-	e := &Eager{
-		proto:     node.Proto(stack.ProtoRB),
-		deliver:   deliver,
-		delivered: make(map[msg.ID]bool),
-	}
+	e := &Eager{diffusion{proto: node.Proto(stack.ProtoRB), deliver: deliver}}
 	node.Register(stack.ProtoRB, stack.HandlerFunc(e.receive))
 	return e
 }
 
-// Broadcast implements Broadcaster.
-func (e *Eager) Broadcast(app *msg.App) {
-	if e.delivered[app.ID] {
-		return
-	}
-	e.delivered[app.ID] = true
-	e.proto.BroadcastOthers(0, DataMsg{App: app})
-	e.deliver(app)
-}
-
-// Rebroadcast implements Broadcaster: re-send the data message to the other
-// processes (no local re-delivery; receivers dedupe).
-func (e *Eager) Rebroadcast(app *msg.App) {
-	e.proto.BroadcastOthers(0, DataMsg{App: app})
-}
-
 func (e *Eager) receive(_ stack.ProcessID, _ uint64, m stack.Message) {
 	d, ok := m.(DataMsg)
-	if !ok || e.delivered[d.App.ID] {
+	if !ok || !e.seen.Add(d.App.ID) {
 		return
 	}
-	e.delivered[d.App.ID] = true
 	// Relay on first receipt: this is what makes the broadcast reliable
 	// (Agreement) despite sender crashes, at O(n²) message cost.
 	e.proto.BroadcastOthers(0, DataMsg{App: d.App})
@@ -139,12 +162,13 @@ func (e *Eager) receive(_ stack.ProcessID, _ uint64, m stack.Message) {
 // original sender, so in failure-free, suspicion-free runs each broadcast
 // costs exactly n-1 messages.
 type Lazy struct {
-	proto     stack.Proto
-	deliver   Deliver
-	detector  fd.Detector
-	delivered map[msg.ID]*msg.App // messages seen (nil once relayed)
-	relayed   map[msg.ID]bool
-	bySender  map[stack.ProcessID][]msg.ID // pending relay bookkeeping
+	diffusion
+	detector fd.Detector
+	// unrelayed holds, per origin and in arrival order, the messages this
+	// process received and has not relayed: what it owes the group should
+	// the origin become suspected. (The origin's own send is its relay.) A
+	// message leaves when it is relayed or released.
+	unrelayed map[stack.ProcessID][]*msg.App
 }
 
 var _ Broadcaster = (*Lazy)(nil)
@@ -153,12 +177,9 @@ var _ Broadcaster = (*Lazy)(nil)
 // stack.ProtoRB. The detector drives crash-triggered relaying.
 func NewLazy(node *stack.Node, detector fd.Detector, deliver Deliver) *Lazy {
 	l := &Lazy{
-		proto:     node.Proto(stack.ProtoRB),
-		deliver:   deliver,
+		diffusion: diffusion{proto: node.Proto(stack.ProtoRB), deliver: deliver},
 		detector:  detector,
-		delivered: make(map[msg.ID]*msg.App),
-		relayed:   make(map[msg.ID]bool),
-		bySender:  make(map[stack.ProcessID][]msg.ID),
+		unrelayed: make(map[stack.ProcessID][]*msg.App),
 	}
 	node.Register(stack.ProtoRB, stack.HandlerFunc(l.receive))
 	detector.Subscribe(func(q stack.ProcessID, suspected bool) {
@@ -169,65 +190,69 @@ func NewLazy(node *stack.Node, detector fd.Detector, deliver Deliver) *Lazy {
 	return l
 }
 
-// Broadcast implements Broadcaster.
-func (l *Lazy) Broadcast(app *msg.App) {
-	if _, seen := l.delivered[app.ID]; seen {
-		return
+// Release implements Broadcaster: every member has the message durably, so
+// no suspicion of its origin can make a relay necessary any more.
+func (l *Lazy) Release(id msg.ID) {
+	apps := l.unrelayed[id.Sender]
+	// Releases follow delivery order, which follows arrival order closely:
+	// the match is at or near the front, and popping the front moves nothing.
+	switch i := slices.IndexFunc(apps, func(a *msg.App) bool { return a.ID == id }); {
+	case i < 0:
+	case len(apps) == 1:
+		delete(l.unrelayed, id.Sender)
+	case i == 0:
+		apps[0] = nil // the backing array must not pin the payload
+		l.unrelayed[id.Sender] = apps[1:]
+	default:
+		l.unrelayed[id.Sender] = slices.Delete(apps, i, i+1)
 	}
-	l.delivered[app.ID] = app
-	l.relayed[app.ID] = true // the origin's send is the "relay"
-	l.proto.BroadcastOthers(0, DataMsg{App: app})
-	l.deliver(app)
 }
 
-// Rebroadcast implements Broadcaster.
-func (l *Lazy) Rebroadcast(app *msg.App) {
-	l.proto.BroadcastOthers(0, DataMsg{App: app})
+// Retained implements Broadcaster.
+func (l *Lazy) Retained() int {
+	n := l.seen.Entries()
+	for _, apps := range l.unrelayed {
+		n += len(apps)
+	}
+	return n
 }
 
 func (l *Lazy) receive(_ stack.ProcessID, _ uint64, m stack.Message) {
 	d, ok := m.(DataMsg)
-	if !ok {
+	if !ok || !l.seen.Add(d.App.ID) {
 		return
 	}
-	if _, seen := l.delivered[d.App.ID]; seen {
-		return
-	}
-	l.delivered[d.App.ID] = d.App
 	origin := d.App.ID.Sender
-	l.bySender[origin] = append(l.bySender[origin], d.App.ID)
 	if l.detector.Suspects(origin) {
 		// The sender is already suspected: relay immediately.
-		l.relayOne(d.App)
+		l.proto.BroadcastOthers(0, DataMsg{App: d.App})
+	} else {
+		l.unrelayed[origin] = append(l.unrelayed[origin], d.App)
 	}
 	l.deliver(d.App)
 }
 
 // relaySuspect relays every message whose origin q is now suspected.
 func (l *Lazy) relaySuspect(q stack.ProcessID) {
-	for _, id := range l.bySender[q] {
-		if app := l.delivered[id]; app != nil {
-			l.relayOne(app)
-		}
+	apps := l.unrelayed[q]
+	delete(l.unrelayed, q)
+	for _, app := range apps {
+		l.proto.BroadcastOthers(0, DataMsg{App: app})
 	}
-}
-
-func (l *Lazy) relayOne(app *msg.App) {
-	if l.relayed[app.ID] {
-		return
-	}
-	l.relayed[app.ID] = true
-	l.proto.BroadcastOthers(0, DataMsg{App: app})
 }
 
 // Uniform is uniform reliable broadcast: deliver only once a majority of
 // processes is known to hold the message. Requires f < n/2.
 type Uniform struct {
-	proto     stack.Proto
-	deliver   Deliver
-	have      map[msg.ID]*msg.App
-	holders   map[msg.ID]map[stack.ProcessID]bool
-	delivered map[msg.ID]bool
+	diffusion // seen: every identifier delivered or released
+	// pending has one record per message received and not yet delivered: the
+	// payload, and who is known to hold it (distinct, in the order learned).
+	pending map[msg.ID]*urbRec
+}
+
+type urbRec struct {
+	app     *msg.App
+	holders []stack.ProcessID
 }
 
 var _ Broadcaster = (*Uniform)(nil)
@@ -236,11 +261,8 @@ var _ Broadcaster = (*Uniform)(nil)
 // stack.ProtoURB.
 func NewUniform(node *stack.Node, deliver Deliver) *Uniform {
 	u := &Uniform{
-		proto:     node.Proto(stack.ProtoURB),
-		deliver:   deliver,
-		have:      make(map[msg.ID]*msg.App),
-		holders:   make(map[msg.ID]map[stack.ProcessID]bool),
-		delivered: make(map[msg.ID]bool),
+		diffusion: diffusion{proto: node.Proto(stack.ProtoURB), deliver: deliver},
+		pending:   make(map[msg.ID]*urbRec),
 	}
 	node.Register(stack.ProtoURB, stack.HandlerFunc(u.receive))
 	return u
@@ -248,20 +270,23 @@ func NewUniform(node *stack.Node, deliver Deliver) *Uniform {
 
 // Broadcast implements Broadcaster.
 func (u *Uniform) Broadcast(app *msg.App) {
-	if _, seen := u.have[app.ID]; seen {
-		return
+	if !u.seen.Has(app.ID) && u.pending[app.ID] == nil {
+		u.proto.BroadcastOthers(0, DataMsg{App: app})
+		u.hold(app, u.proto.Ctx().ID())
 	}
-	u.have[app.ID] = app
-	u.addHolder(app.ID, u.proto.Ctx().ID())
-	u.proto.BroadcastOthers(0, DataMsg{App: app})
-	u.check(app.ID)
 }
 
-// Rebroadcast implements Broadcaster: re-send the data message; receivers
-// re-run the holder/echo bookkeeping idempotently.
-func (u *Uniform) Rebroadcast(app *msg.App) {
-	u.proto.BroadcastOthers(0, DataMsg{App: app})
+// Release implements Broadcaster: drop the record, keep the identifier seen.
+// Delivery does that by itself; the engine's call matters for a message it
+// obtained by another path (fetch, snapshot) while the record sat here short
+// of a majority.
+func (u *Uniform) Release(id msg.ID) {
+	delete(u.pending, id)
+	u.seen.Add(id)
 }
+
+// Retained implements Broadcaster.
+func (u *Uniform) Retained() int { return u.seen.Entries() + len(u.pending) }
 
 func (u *Uniform) receive(from stack.ProcessID, _ uint64, m stack.Message) {
 	var app *msg.App
@@ -273,37 +298,32 @@ func (u *Uniform) receive(from stack.ProcessID, _ uint64, m stack.Message) {
 	default:
 		return
 	}
-	first := false
-	if _, seen := u.have[app.ID]; !seen {
-		u.have[app.ID] = app
-		first = true
+	if u.seen.Has(app.ID) {
+		return // delivered or released: no echo for a straggling copy
 	}
-	u.addHolder(app.ID, from)
-	u.addHolder(app.ID, u.proto.Ctx().ID())
-	if first {
+	if u.pending[app.ID] == nil {
 		// Echo on first receipt so every process learns who holds m.
 		u.proto.BroadcastOthers(0, EchoMsg{App: app})
 	}
-	u.check(app.ID)
+	u.hold(app, from, u.proto.Ctx().ID())
 }
 
-func (u *Uniform) addHolder(id msg.ID, p stack.ProcessID) {
-	h, ok := u.holders[id]
-	if !ok {
-		h = make(map[stack.ProcessID]bool, u.proto.Ctx().N())
-		u.holders[id] = h
+// hold records that ps hold app, and delivers it once a majority is known
+// to: from then on the record is spent and the identifier merely seen.
+func (u *Uniform) hold(app *msg.App, ps ...stack.ProcessID) {
+	rec := u.pending[app.ID]
+	if rec == nil {
+		rec = &urbRec{app: app, holders: make([]stack.ProcessID, 0, Majority(u.proto.Ctx().N())+1)}
+		u.pending[app.ID] = rec
 	}
-	h[p] = true
-}
-
-// check delivers the message once a majority is known to hold it.
-func (u *Uniform) check(id msg.ID) {
-	if u.delivered[id] {
-		return
+	for _, p := range ps {
+		if !slices.Contains(rec.holders, p) {
+			rec.holders = append(rec.holders, p)
+		}
 	}
-	if len(u.holders[id]) >= Majority(u.proto.Ctx().N()) {
-		u.delivered[id] = true
-		u.deliver(u.have[id])
+	if len(rec.holders) >= Majority(u.proto.Ctx().N()) {
+		u.Release(app.ID)
+		u.deliver(rec.app)
 	}
 }
 

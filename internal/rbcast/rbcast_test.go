@@ -285,3 +285,58 @@ func TestDuplicateBroadcastIgnored(t *testing.T) {
 		})
 	}
 }
+
+// TestReleasedMessagesAreNotRetained: what a broadcast keeps is bounded by
+// the senders plus the messages not yet released, not by history — and a
+// released identifier is still a duplicate: a straggling copy is dropped
+// without a delivery, a relay or an echo.
+func TestReleasedMessagesAreNotRetained(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			const n, each = 3, 200
+			h := newRBHarness(t, n, k)
+			for p := 1; p <= n; p++ {
+				for s := 1; s <= each; s++ {
+					h.broadcast(stack.ProcessID(p), time.Duration(s)*time.Millisecond,
+						msg.ID{Sender: stack.ProcessID(p), Seq: uint64(s)}, 16)
+				}
+			}
+			h.w.RunFor(5 * time.Second)
+			if k == KindLazy && h.bcs[1].Retained() < (n-1)*each {
+				t.Fatalf("lazy holds %d entries before release; it owes a relay for %d messages",
+					h.bcs[1].Retained(), (n-1)*each)
+			}
+			// Release everything everywhere, not quite in arrival order.
+			for p := 1; p <= n; p++ {
+				for _, parity := range []int{1, 0} {
+					for q := 1; q <= n; q++ {
+						for s := 1; s <= each; s++ {
+							if s%2 == parity {
+								h.bcs[p].Release(msg.ID{Sender: stack.ProcessID(q), Seq: uint64(s)})
+							}
+						}
+					}
+				}
+				if got := h.bcs[p].Retained(); got > 2*n {
+					t.Fatalf("p%d retains %d entries after releasing all %d messages; want O(senders)", p, got, n*each)
+				}
+			}
+			// A straggling copy of a released message, and a suspicion of its
+			// origin, set nothing off.
+			sent := h.w.MsgsSent()
+			h.w.After(1, time.Millisecond, func() {
+				h.bcs[1].Rebroadcast(&msg.App{ID: msg.ID{Sender: 1, Seq: each / 2}, Payload: make([]byte, 16)})
+			})
+			h.w.After(2, 10*time.Millisecond, func() { h.fds[2].SetSuspected(1, true) })
+			h.w.RunFor(time.Second)
+			if got := h.w.MsgsSent() - sent; got != n-1 {
+				t.Fatalf("straggler caused %d sends beyond the %d of the rebroadcast itself", got-(n-1), n-1)
+			}
+			for p := 1; p <= n; p++ {
+				if len(h.order[p]) != n*each {
+					t.Fatalf("p%d delivered %d, want %d (each message once)", p, len(h.order[p]), n*each)
+				}
+			}
+		})
+	}
+}

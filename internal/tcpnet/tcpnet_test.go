@@ -52,11 +52,9 @@ func newTCPGroup(t *testing.T, n int, variant core.Variant) *tcpGroup {
 	for i := 1; i <= n; i++ {
 		i := i
 		node := g.peers[i].Node()
-		det := fd.NewHeartbeat(node, fd.DefaultConfig())
 		eng, err := core.New(node, core.Config{
-			Variant:  variant,
-			RB:       rbcast.KindEager,
-			Detector: det,
+			Variant: variant,
+			RB:      rbcast.KindEager,
 			Deliver: func(app *msg.App) {
 				g.mu.Lock()
 				g.order[i] = append(g.order[i], app.ID)
