@@ -568,10 +568,15 @@ func (c *Cluster) changeMembership(p int, join bool) error {
 
 // Next returns process p's next delivery, waiting up to timeout. ok is
 // false on timeout, and at once when the cluster is closed and p's
-// deliveries are drained.
+// deliveries are drained. A delivery that is already waiting is taken
+// without making a timer: a consumer that keeps up with a busy process pays
+// one lock per delivery.
 func (c *Cluster) Next(p int, timeout time.Duration) (d Delivery, ok bool) {
 	if p < 1 || p > c.n {
 		return Delivery{}, false
+	}
+	if d, ok = c.queues[p].TryGet(); ok {
+		return d, true
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -580,7 +585,11 @@ func (c *Cluster) Next(p int, timeout time.Duration) (d Delivery, ok bool) {
 
 // Stats is a snapshot of one process's engine counters.
 type Stats struct {
-	// Received counts messages received (diffused) by the process.
+	// Received counts the payloads the process currently holds: received
+	// and not yet forgotten. A message is forgotten when nobody can ask for
+	// it any more — at delivery in the default configuration, at the
+	// checkpoint boundary every member has passed with Options.Persist,
+	// never with Options.Recovery or Options.Snapshot alone.
 	Received int
 	// Delivered counts messages adelivered, in total order.
 	Delivered int

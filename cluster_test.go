@@ -236,6 +236,41 @@ func TestNextTimeout(t *testing.T) {
 	}
 }
 
+// TestNextWithDeliveryWaitingAllocatesNothing: a waiting delivery is taken
+// with one lock — no timer is made for a wait that does not happen.
+func TestNextWithDeliveryWaitingAllocatesNothing(t *testing.T) {
+	c, err := New(1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const runs = 100
+	for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+		if err := c.Broadcast(1, []byte("n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		st, ok := c.Stats(1, 5*time.Second)
+		if !ok {
+			t.Fatal("Stats timed out")
+		}
+		if st.Delivered == runs+1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	missed := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok := c.Next(1, 5*time.Second); !ok {
+			missed++
+		}
+	})
+	if missed != 0 || allocs != 0 {
+		t.Fatalf("Next with a delivery waiting: %v allocs per call, %d calls came back empty", allocs, missed)
+	}
+}
+
 func TestClusterStats(t *testing.T) {
 	c, err := New(3, Options{})
 	if err != nil {
@@ -250,7 +285,9 @@ func TestClusterStats(t *testing.T) {
 	if !ok {
 		t.Fatal("Stats timed out")
 	}
-	if st.Delivered != 1 || st.Received != 1 || st.Instances == 0 {
+	// Received counts payloads held, and the default configuration holds
+	// none past delivery.
+	if st.Delivered != 1 || st.Received != 0 || st.Instances == 0 {
 		t.Fatalf("Stats = %+v", st)
 	}
 	if _, ok := c.Stats(99, time.Millisecond); ok {

@@ -232,8 +232,10 @@
 //
 // # Crash recovery: persistence and bounded memory
 //
-// The paper's model is crash-stop: a crashed process is gone, and every
-// process keeps its full delivered history in memory. Options.Persist
+// The paper's model is crash-stop: a crashed process is gone, and a process
+// that peers may ask for history (Options.Recovery, Options.Snapshot) keeps
+// its full delivered history in memory to answer them; a default cluster,
+// which nobody can ask, forgets a message when it delivers it. Options.Persist
 // (engine side: core.Config.Persist, stores in internal/persist) upgrades
 // both at once, because they are the same mechanism. Each process
 // checkpoints a digest of its delivered prefix — per-sender contiguous

@@ -59,10 +59,13 @@ type Observation struct {
 	// estimate from the relink layer (0 when recovery is off or no
 	// exchange has completed).
 	LinkRTTMax time.Duration
-	// Received and DeliveredLog are the sizes of the engine's payload map
-	// and retained delivered-log suffix. Under Config.Persist both are
-	// bounded by checkpoint pruning — the memory-flatness signal the soak
-	// tests assert on; without it they grow with history.
+	// Received is the number of payloads currently held — received and not
+	// yet forgotten (see Stats.Received) — and DeliveredLog the length of
+	// the retained delivered-log suffix. Without a repair plane Received is
+	// what is in flight and the log is not kept; under Config.Persist both
+	// are bounded by checkpoint pruning — the memory-flatness signal the
+	// soak tests assert on; with Recover or Snapshot alone they grow with
+	// history.
 	Received     int
 	DeliveredLog int
 }

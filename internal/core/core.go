@@ -191,7 +191,8 @@ type Config struct {
 	// the recovery events (retransmit, fetch, rediffuse, snapshot install,
 	// restart) — stamped with the process clock, which is virtual time on
 	// the simulator, so a trace is byte-reproducible under the seed. Nil
-	// (the default) records nothing: every hook is a nil-receiver check.
+	// (the default) records nothing: every hook is a pointer test, made
+	// before the event is stamped (Engine.record).
 	Trace *trace.Recorder
 	// Metrics, when non-nil, is the registry the engine's counters and
 	// gauges (core.*, persist.*) register into; it is also handed down to
@@ -331,7 +332,7 @@ type Engine struct {
 }
 
 // proposal is one outstanding proposal of this process: the identifiers it
-// claimed and when it was made.
+// claimed and, for the adaptive controller's latency signal, when it was made.
 type proposal struct {
 	ids msg.IDSet
 	at  time.Time
@@ -383,7 +384,7 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 		ctx:      node.Context(),
 		cfg:      cfg,
 		node:     node,
-		msgs:     msgTable{entries: make(map[msg.ID]msgEntry)},
+		msgs:     msgTable{entries: make(map[msg.ID]msgEntry), retain: cfg.Recover != nil},
 		kNext:    1,
 		kPropose: 1,
 		window:   window,
@@ -512,15 +513,26 @@ func (e *Engine) ABroadcast(payload []byte) msg.ID {
 		Payload: payload,
 	}
 	e.broadcasts.Inc()
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindABroadcast, ID: app.ID})
+	e.record(trace.Event{Kind: trace.KindABroadcast, ID: app.ID})
 	e.rb.Broadcast(app)
 	return app.ID
 }
 
+// record stamps ev with this process and its clock and records it — when a
+// recorder is attached. The test comes first: a disabled trace costs one
+// pointer test per hook point, not a clock reading.
+func (e *Engine) record(ev trace.Event) {
+	if e.tr.Enabled() {
+		ev.At, ev.P = e.ctx.Now(), e.ctx.ID()
+		e.tr.Record(ev)
+	}
+}
+
 // rcv is the predicate of Algorithm 1 lines 9-10: true iff every identifier
-// in the proposal has a received message. The per-identifier CPU charge
-// models the real cost of these checks — the overhead the paper measures in
-// Figures 3 and 4.
+// in the proposal has a received message — held, or already delivered here: a
+// lagging proposer may still name a message this process has delivered and
+// forgotten. The per-identifier CPU charge models the real cost of these
+// checks — the overhead the paper measures in Figures 3 and 4.
 func (e *Engine) rcv(v consensus.Value) bool {
 	ids := idsOfValue(v)
 	if e.cfg.RcvCheckCost > 0 {
@@ -528,7 +540,7 @@ func (e *Engine) rcv(v consensus.Value) bool {
 	}
 	held := true
 	for _, id := range ids {
-		if e.msgs.payload(id) == nil {
+		if !e.msgs.has(id) {
 			held = false
 			if e.cfg.Recover == nil {
 				break
@@ -547,11 +559,14 @@ func (e *Engine) rcv(v consensus.Value) bool {
 
 // onRDeliver handles R-delivery of a message (Algorithm 1 lines 11-14).
 func (e *Engine) onRDeliver(app *msg.App) {
-	now := e.ctx.Now()
-	if !e.msgs.receive(app, now, true) {
-		return // a duplicate, or a straggling copy of a delivered and pruned message
+	var now time.Time // entered-unordered instant: read only by the recovery re-diffusion
+	if e.cfg.Recover != nil {
+		now = e.ctx.Now()
 	}
-	e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: app.ID})
+	if !e.msgs.receive(app, now, true) {
+		return // a duplicate, or a straggling copy of a delivered and forgotten message
+	}
+	e.record(trace.Event{Kind: trace.KindReceive, ID: app.ID})
 	e.armRediffuse()
 	e.tryDeliver() // the head of orderedp may have been waiting for this payload
 	e.maybePropose()
@@ -609,7 +624,11 @@ func (e *Engine) maybePropose() {
 		}
 		delete(e.needed, k)
 		set := msg.IDSetFromSorted(batch)
-		e.inFlight[k] = proposal{ids: set, at: e.ctx.Now()}
+		prop := proposal{ids: set}
+		if e.ctrl != nil {
+			prop.at = e.ctx.Now() // read by onDecide, under Adaptive only
+		}
+		e.inFlight[k] = prop
 		e.maxInFlight = max(e.maxInFlight, len(e.inFlight))
 		e.kPropose = k + 1
 		if e.pipelined() && (k > e.kNext || len(batch) == 0) {
@@ -619,7 +638,7 @@ func (e *Engine) maybePropose() {
 			// instances.
 			e.cons.Open(k)
 		}
-		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindPropose, K: k, N: len(batch)})
+		e.record(trace.Event{Kind: trace.KindPropose, K: k, N: len(batch)})
 		switch e.cfg.Variant {
 		case VariantConsensusMsgs:
 			msgs := make([]*msg.App, 0, len(batch))
@@ -662,7 +681,7 @@ func (e *Engine) onDecide(k uint64, v consensus.Value) {
 	if e.tr.Enabled() {
 		// idsOfValue allocates for a message-set value, so the batch size is
 		// computed only when a recorder is attached.
-		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindDecide, K: k, N: len(idsOfValue(v))})
+		e.record(trace.Event{Kind: trace.KindDecide, K: k, N: len(idsOfValue(v))})
 	}
 	e.pending[k] = v
 	e.consumePending()
@@ -708,20 +727,20 @@ func (e *Engine) consumePending() {
 // applyDecision appends the identifiers decided by instance k, in
 // deterministic order, to the ordered sequence and delivers what it can.
 func (e *Engine) applyDecision(k uint64, v consensus.Value) {
-	now := e.ctx.Now()
 	if mv, ok := v.(MsgSetValue); ok {
 		// Consensus on messages: the decision itself carries the
 		// payloads, so every decider can deliver them even if the
-		// diffusion broadcast has not reached it yet.
+		// diffusion broadcast has not reached it yet. (Not proposable,
+		// so there is no entered-unordered instant to stamp.)
 		for _, a := range mv.Msgs {
-			if e.msgs.receive(a, now, false) {
-				e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: a.ID})
+			if e.msgs.receive(a, time.Time{}, false) {
+				e.record(trace.Event{Kind: trace.KindReceive, ID: a.ID})
 			}
 		}
 	}
 	for _, id := range idsOfValue(v) {
 		if e.msgs.order(id, k) {
-			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindOrdered, ID: id, K: k})
+			e.record(trace.Event{Kind: trace.KindOrdered, ID: id, K: k})
 		}
 	}
 	e.tryDeliver()
@@ -742,7 +761,7 @@ func (e *Engine) tryDeliver() {
 		}
 		e.deliveredN++
 		e.deliveredC.Inc()
-		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindADeliver, ID: rec.id, K: rec.k})
+		e.record(trace.Event{Kind: trace.KindADeliver, ID: rec.id, K: rec.k})
 		if e.cfg.Snapshot {
 			// The delivered prefix, in order and with ordering serials, is
 			// what snapshot transfers ship; see snapshot.go.
@@ -773,13 +792,16 @@ func (e *Engine) BlockedOn() (msg.ID, bool) {
 	return msg.ID{}, false
 }
 
-// HasReceived reports whether this process holds the message with the
-// given identifier (the receivedp set of Algorithm 1). Used by invariant
-// checkers.
-func (e *Engine) HasReceived(id msg.ID) bool { return e.msgs.payload(id) != nil }
+// HasReceived reports whether this process has received the message with
+// the given identifier (the receivedp set of Algorithm 1): it holds the
+// payload, or has delivered it. Used by invariant checkers.
+func (e *Engine) HasReceived(id msg.ID) bool { return e.msgs.has(id) }
 
 // Stats reports engine counters for diagnostics and tests.
 type Stats struct {
+	// Received is the number of payloads currently held: received and not
+	// yet forgotten — at delivery without a repair plane, at the prune
+	// boundary with Persist, never with Recover alone.
 	Received  int
 	Delivered int
 	Unordered int

@@ -210,7 +210,7 @@ func (e *Engine) BroadcastConfig(ch msg.ConfigChange) msg.ID {
 		Config: &ch,
 	}
 	e.broadcasts.Inc()
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindABroadcast, ID: app.ID})
+	e.record(trace.Event{Kind: trace.KindABroadcast, ID: app.ID})
 	e.rb.Broadcast(app)
 	return app.ID
 }

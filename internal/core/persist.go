@@ -149,7 +149,7 @@ func (e *Engine) rehydrate(cp *persist.Checkpoint) {
 	// live peer even under concurrent crashes, then the normal needsSync
 	// conditions take over.
 	e.restartProbes = 2 * e.ctx.N()
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRestart, K: cp.Frontier, N: len(cp.Entries)})
+	e.record(trace.Event{Kind: trace.KindRestart, K: cp.Frontier, N: len(cp.Entries)})
 }
 
 // noteSeq write-ahead-logs the engine's own broadcast sequence number,

@@ -164,7 +164,7 @@ func (e *Engine) fetchTick() {
 		return
 	}
 	e.fetches.Inc()
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindFetch, Peer: q, N: len(missing)})
+	e.record(trace.Event{Kind: trace.KindFetch, Peer: q, N: len(missing)})
 	e.sync.Send(q, 0, FetchMsg{IDs: missing})
 	e.armFetch() // stay armed until nothing is missing
 }
@@ -299,7 +299,7 @@ func (e *Engine) rediffuseTick() {
 	for _, app := range e.msgs.stale(e.ctx.Now(), rediffuseDelay, rediffuseBatch) {
 		e.rb.Rebroadcast(app)
 		e.rediffusions.Inc()
-		e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindRediffuse, ID: app.ID})
+		e.record(trace.Event{Kind: trace.KindRediffuse, ID: app.ID})
 	}
 	e.armRediffuse()
 }

@@ -354,14 +354,13 @@ func (e *Engine) installSnapshot(producer stack.ProcessID, boundary, start uint6
 
 	// Rebuild the ordered queue from the snapshot's decided suffix.
 	e.msgs.unqueue()
-	now := e.ctx.Now()
 	for _, en := range entries {
 		if !en.Missing && e.msgs.payload(en.ID) == nil &&
-			e.msgs.receive(&msg.App{ID: en.ID, Payload: en.Payload, Config: en.Cfg}, now, false) {
-			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindReceive, ID: en.ID})
+			e.msgs.receive(&msg.App{ID: en.ID, Payload: en.Payload, Config: en.Cfg}, time.Time{}, false) {
+			e.record(trace.Event{Kind: trace.KindReceive, ID: en.ID})
 		}
 		if e.msgs.order(en.ID, en.K) {
-			e.tr.Record(trace.Event{At: now, P: e.ctx.ID(), Kind: trace.KindOrdered, ID: en.ID, K: en.K})
+			e.record(trace.Event{Kind: trace.KindOrdered, ID: en.ID, K: en.K})
 		}
 	}
 
@@ -382,7 +381,7 @@ func (e *Engine) installSnapshot(producer stack.ProcessID, boundary, start uint6
 		e.kPropose = e.kNext
 	}
 	e.snapsDone.Inc()
-	e.tr.Record(trace.Event{At: e.ctx.Now(), P: e.ctx.ID(), Kind: trace.KindSnapInstall, K: boundary, Peer: producer, N: len(entries)})
+	e.record(trace.Event{Kind: trace.KindSnapInstall, K: boundary, Peer: producer, N: len(entries)})
 
 	// Decisions already held at/after the boundary are now contiguous with
 	// it; consume them, release the settled consensus state, and deliver

@@ -18,6 +18,13 @@ import (
 // The payload is independent of the phase: an identifier can be ordered
 // before its message arrives, and deliverNext then waits for it. The flags
 // that ride along are drawn in docs/ARCHITECTURE.md, "Engine state".
+//
+// How long a message stays delivered depends on who can still ask for it.
+// The only readers of a delivered payload are the repair planes (the fetch
+// and snapshot producers), which exist only under Config.Recover: without
+// them deliverNext takes the last edge itself, and the table holds what is in
+// flight and nothing else. With them the payload stays until Persist's
+// checkpoint boundary prunes it — or, without Persist, for good.
 
 // phase is where Algorithm 1 has a message.
 type phase uint8
@@ -32,8 +39,10 @@ const (
 // msgEntry is the record of one identifier. Records are map values, so a
 // message costs no allocation of its own; a transition is load-modify-store.
 type msgEntry struct {
-	app     *msg.App  // the payload, nil while not (or no longer) held
-	since   time.Time // entered unordered, or was last re-diffused
+	app *msg.App // the payload, nil while not (or no longer) held
+	// since is when the message entered unordered or was last re-diffused.
+	// Its one reader is stale, so it is stamped only under Recover.
+	since   time.Time
 	phase   phase
 	claimed bool // inside one of this process's outstanding proposals
 }
@@ -43,13 +52,17 @@ type msgEntry struct {
 //abcheck:eventloop part of Engine; owned by the process's event loop
 type msgTable struct {
 	entries map[msg.ID]msgEntry
+	// retain says delivered payloads have a reader (Config.Recover after
+	// resolve). Without one, delivery forgets the message: see deliverNext.
+	retain bool
 	// unordered indexes the phase-unordered identifiers in canonical order
 	// (what proposals are cut from); ordered is orderedp, the decided
 	// identifiers awaiting delivery, in decision order.
 	unordered msg.IDSet
 	ordered   []ordRec
 	// delivered is every identifier ever adelivered here. It outlives the
-	// record (prune), so a late copy of a pruned message is still a duplicate.
+	// record (deliverNext, prune), so a late copy of a forgotten message is
+	// still a duplicate.
 	delivered msg.SeenSet
 	// wanted indexes the identifiers a failed rcv check named (Engine.rcv)
 	// whose payload is still missing: what the recovery fetch asks peers for.
@@ -62,6 +75,13 @@ type msgTable struct {
 // payload returns the message held for id, or nil.
 func (t *msgTable) payload(id msg.ID) *msg.App { return t.entries[id].app }
 
+// has reports whether this process has received id's message (receivedp,
+// which Algorithm 1 never shrinks): the payload is held, or it was delivered
+// and may since have been forgotten.
+func (t *msgTable) has(id msg.ID) bool {
+	return t.entries[id].app != nil || t.delivered.Has(id)
+}
+
 // put stores en under id — or drops the record once it says nothing: no
 // payload, no claim, and no position the delivered set does not also know.
 func (t *msgTable) put(id msg.ID, en msgEntry) {
@@ -73,11 +93,11 @@ func (t *msgTable) put(id msg.ID, en msgEntry) {
 }
 
 // receive files app's payload and reports whether it was news: not for a
-// duplicate, nor for a straggling copy of a message delivered and pruned,
-// which must not re-accumulate what the prune dropped. R-delivery (Algorithm
-// 1 lines 11-14) also makes an identifier without a position proposable; a
-// payload that came inside a decision or a snapshot is only filed, since the
-// caller is about to order it.
+// duplicate, nor for a straggling copy of a message delivered and forgotten,
+// which must not re-accumulate what delivery or the prune dropped. R-delivery
+// (Algorithm 1 lines 11-14) also makes an identifier without a position
+// proposable, as of now; a payload that came inside a decision or a snapshot
+// is only filed, since the caller is about to order it.
 func (t *msgTable) receive(app *msg.App, now time.Time, proposable bool) bool {
 	en, known := t.entries[app.ID]
 	if en.app != nil || en.phase == phaseDelivered || (!known && t.delivered.Has(app.ID)) {
@@ -148,18 +168,29 @@ func (t *msgTable) blocked() bool {
 
 // deliverNext moves the head of the ordered queue to delivered (Algorithm 1
 // lines 23-25) and returns it with its message. A nil message means the
-// queue is empty or blocked, and nothing moved.
+// queue is empty or blocked, and nothing moved. When delivered payloads have
+// no reader this is the message's last transition: the payload goes to the
+// caller and out of the table, and so does the record (put) unless an
+// outstanding proposal of ours still claims it — then release drops it.
 func (t *msgTable) deliverNext() (ordRec, *msg.App) {
-	if len(t.ordered) == 0 || t.blocked() {
+	if len(t.ordered) == 0 {
 		return ordRec{}, nil
 	}
 	rec := t.ordered[0]
-	t.ordered = t.ordered[1:]
 	en := t.entries[rec.id]
+	app := en.app
+	if app == nil {
+		return ordRec{}, nil
+	}
+	t.ordered = t.ordered[1:]
 	en.phase = phaseDelivered
-	t.entries[rec.id] = en
+	if !t.retain {
+		en.app = nil
+		t.held--
+	}
+	t.put(rec.id, en)
 	t.delivered.Add(rec.id)
-	return rec, en.app
+	return rec, app
 }
 
 // missing lists, in canonical order, up to max identifiers whose payload is

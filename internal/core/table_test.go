@@ -47,6 +47,11 @@ func checkTable(t testing.TB, e *Engine) {
 		if en.app == nil && !en.claimed && (en.phase == phaseNone || en.phase == phaseDelivered) {
 			t.Errorf("p%d: %v has a record that says nothing (phase %d)", p, id, en.phase)
 		}
+		if !tb.retain && en.phase == phaseDelivered && (en.app != nil || !en.claimed) {
+			// Nobody can ask for a delivered payload: delivery was the last
+			// transition, and only a claim keeps the record until release.
+			t.Errorf("p%d: %v outlived its delivery (payload held: %v, claimed: %v)", p, id, en.app != nil, en.claimed)
+		}
 		if en.phase == phaseUnordered {
 			unordered++
 			if en.app == nil {

@@ -15,7 +15,9 @@ const keepCap = 4096
 //
 // Any number of goroutines may Put. Get and GetAll are for one consumer at
 // a time: each Put posts at most one wake-up, so of several blocked consumers
-// only one is sure to see it before the next Put or its own deadline.
+// only one is sure to see it before the next Put or its own deadline. TryGet
+// never blocks, so it has no such limit; the wake-up it leaves unread costs
+// the next blocking call one extra look at the queue.
 type Queue[T any] struct {
 	mu     sync.Mutex
 	items  []T
@@ -44,15 +46,35 @@ func (q *Queue[T]) Put(v T) {
 // is closed and drained, or deadline fires (a nil deadline never does). It
 // reports false in the last two cases.
 func (q *Queue[T]) Get(deadline <-chan time.Time) (T, bool) {
-	var zero T
 	if !q.await(deadline) {
+		var zero T
 		return zero, false
 	}
+	return q.pop(), true
+}
+
+// TryGet is Get for a consumer that will not wait: it dequeues the next
+// item if one is queued and reports false otherwise — open or closed, so a
+// closed queue's backlog stays readable through it too.
+func (q *Queue[T]) TryGet() (T, bool) {
+	q.mu.Lock()
+	if len(q.items) == 0 {
+		q.mu.Unlock()
+		var zero T
+		return zero, false
+	}
+	return q.pop(), true
+}
+
+// pop dequeues the head of a non-empty queue and releases q.mu, which the
+// caller holds.
+func (q *Queue[T]) pop() T {
+	var zero T
 	v := q.items[0]
 	q.items[0] = zero
 	q.items = q.items[1:]
 	q.mu.Unlock()
-	return v, true
+	return v
 }
 
 // GetAll is Get for a consumer that pays one lock and one wake-up per

@@ -166,6 +166,41 @@ func TestQueueCloseKeepsBacklogDiscardDropsIt(t *testing.T) {
 	}
 }
 
+// TestQueueTryGet: TryGet hands out what is queued, in order, and reports
+// false instead of waiting — on an open queue and on a shut one alike.
+func TestQueueTryGet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prep func(q *Queue[int])
+		want []int // what successive TryGets return before the first false
+	}{
+		{"empty", func(*Queue[int]) {}, nil},
+		{"one item", func(q *Queue[int]) { q.Put(1) }, []int{1}},
+		{"closed with a backlog", func(q *Queue[int]) { q.Put(1); q.Put(2); q.Close(); q.Put(3) }, []int{1, 2}},
+		{"discarded", func(q *Queue[int]) { q.Put(1); q.Discard() }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewQueue[int]()
+			tc.prep(q)
+			for _, want := range tc.want {
+				if v, ok := q.TryGet(); !ok || v != want {
+					t.Fatalf("TryGet = %d, %v, want %d", v, ok, want)
+				}
+			}
+			if v, ok := q.TryGet(); ok {
+				t.Fatalf("TryGet of a drained queue returned %d", v)
+			}
+		})
+	}
+	// The wake-up of an item TryGet took must not satisfy a later Get.
+	q := NewQueue[int]()
+	q.Put(1)
+	q.TryGet()
+	done := blockedGet(t, q, nil)
+	q.Put(2)
+	wantGet(t, done, 2)
+}
+
 // TestQueueConcurrent hammers one queue from several producers and
 // consumers, then closes it while the consumers are still polling: every
 // item must be consumed exactly once, and nobody may hang or race.

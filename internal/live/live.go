@@ -3,6 +3,12 @@
 // which supply everything that is not transport (inbox, wall-clock timers,
 // crash and restart).
 //
+// A hop is data: send puts a {due instant, envelope} parcel on the link's
+// queue, and the link's one goroutine takes the queue a backlog at a time,
+// sleeps out whatever latency a parcel still owes and hands it to the
+// destination's inbox. No closure, timer or lock of the network's is spent
+// on a message that is already due.
+//
 // The protocol implementations are exactly the ones the simulator runs —
 // they only see stack.Context. This mirrors the Neko property the paper's
 // evaluation relied on: one implementation, simulated or real execution.
@@ -10,6 +16,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abcast/internal/evloop"
@@ -49,40 +56,77 @@ type Network struct {
 	cfg   config
 	procs []*Proc // index 0 unused
 
+	// links is the dense from×to table of the started links, row from at
+	// from*len(procs). Both indexes are this network's own process ids (the
+	// sending Proc's, and a destination the protocol layers took from 1..n),
+	// never a value off a wire. A slot is published once, under linkMu, and
+	// read without it.
+	links  []atomic.Pointer[link]
 	linkMu sync.Mutex
-	links  map[linkKey]*evloop.Queue[func()]
 	wg     sync.WaitGroup // the link goroutines
 
 	stop     chan struct{} // aborts the links' delivery sleeps
 	stopOnce sync.Once
 }
 
-type linkKey struct{ from, to stack.ProcessID }
+// link is one directed FIFO delivery pipe.
+type link = evloop.Queue[parcel]
 
-// getLink returns (starting if needed) the link from→to: a FIFO
-// delivery pipe whose single goroutine drains queued messages in order,
-// each one sleeping until its delivery deadline.
-func (net *Network) getLink(from, to stack.ProcessID) *evloop.Queue[func()] {
+// parcel is one envelope in flight: it may reach the destination's inbox
+// no earlier than due.
+type parcel struct {
+	due time.Time
+	env stack.Envelope
+}
+
+// getLink returns (starting if needed) the link from→to.
+func (net *Network) getLink(from, to stack.ProcessID) *link {
+	slot := &net.links[int(from)*len(net.procs)+int(to)]
+	if l := slot.Load(); l != nil {
+		return l
+	}
 	net.linkMu.Lock()
 	defer net.linkMu.Unlock()
-	k := linkKey{from, to}
-	l, ok := net.links[k]
-	if !ok {
-		l = evloop.NewQueue[func()]()
-		net.links[k] = l
+	l := slot.Load()
+	if l == nil {
+		l = evloop.NewQueue[parcel]()
+		slot.Store(l)
 		net.wg.Add(1)
-		go func() {
-			defer net.wg.Done()
-			for {
-				fn, ok := l.Get(nil)
-				if !ok {
-					return
-				}
-				fn()
-			}
-		}()
+		go net.runLink(l, from, to)
 	}
 	return l
+}
+
+// runLink is link from→to's goroutine: it delivers queued parcels in send
+// order, a backlog per wake-up. The clock is read once per backlog and again
+// only for a parcel that reading does not show due.
+func (net *Network) runLink(l *link, from, to stack.ProcessID) {
+	defer net.wg.Done()
+	src, dst := net.procs[from], net.procs[to]
+	var batch []parcel
+	for {
+		var ok bool
+		if batch, ok = l.GetAll(batch, nil); !ok {
+			return
+		}
+		var now time.Time // not read yet for this backlog
+		for _, pc := range batch {
+			if pc.due.After(now) {
+				now = time.Now()
+				if wait := pc.due.Sub(now); wait > 0 {
+					select {
+					case <-net.stop:
+						return
+					case <-time.After(wait):
+						now = pc.due // it is at least that late
+					}
+				}
+			}
+			if !src.Crashed() { // crashed senders lose in-flight messages
+				dst.Deliver(from, pc.env)
+			}
+		}
+	}
 }
 
 // NewNetwork starts n process event loops.
@@ -94,7 +138,7 @@ func NewNetwork(n int, opts ...Option) *Network {
 	net := &Network{
 		cfg:   cfg,
 		procs: make([]*Proc, n+1),
-		links: make(map[linkKey]*evloop.Queue[func()], n*n),
+		links: make([]atomic.Pointer[link], (n+1)*(n+1)),
 		stop:  make(chan struct{}),
 	}
 	for i := 1; i <= n; i++ {
@@ -137,8 +181,10 @@ func (net *Network) Close() {
 	}
 	net.stopOnce.Do(func() { close(net.stop) })
 	net.linkMu.Lock()
-	for _, l := range net.links {
-		l.Discard()
+	for i := range net.links {
+		if l := net.links[i].Load(); l != nil {
+			l.Discard()
+		}
 	}
 	net.linkMu.Unlock()
 	net.wg.Wait()
@@ -147,29 +193,16 @@ func (net *Network) Close() {
 // send is the transport: deliver env to the destination's inbox after the
 // configured latency, in per-link FIFO order (like a TCP connection).
 func (net *Network) send(from, to stack.ProcessID, env stack.Envelope) {
-	src, dst := net.procs[from], net.procs[to]
 	d, j := net.cfg.latency, time.Duration(0)
 	if t := net.cfg.topo; t != nil {
 		l := t.LinkOf(from, to)
 		d, j = l.Latency, l.Jitter
 	}
 	if j > 0 {
-		d += time.Duration(src.Rand().Int63n(int64(2*j))) - j
+		d += time.Duration(net.procs[from].Rand().Int63n(int64(2*j))) - j
 		if d < 0 {
 			d = 0
 		}
 	}
-	deadline := time.Now().Add(d)
-	net.getLink(from, to).Put(func() {
-		if wait := time.Until(deadline); wait > 0 {
-			select {
-			case <-net.stop:
-				return
-			case <-time.After(wait):
-			}
-		}
-		if !src.Crashed() { // crashed senders lose in-flight messages
-			dst.Deliver(from, env)
-		}
-	})
+	net.getLink(from, to).Put(parcel{due: time.Now().Add(d), env: env})
 }

@@ -8,9 +8,13 @@
 // existing stack.Context.Now() — on the simulator that is virtual time, so
 // a trace is byte-reproducible under a seed and records nothing the
 // abcheck walltime analyzer objects to. The recorder is off by default:
-// layers hold a possibly-nil *Recorder and call Record unconditionally;
-// the nil receiver returns immediately without allocating, so a disabled
-// trace costs one pointer test per hook point on the hot path.
+// layers hold a possibly-nil *Recorder, and a disabled trace costs one
+// pointer test per hook point on the hot path. Record on a nil receiver
+// returns immediately without allocating — but its argument is evaluated
+// first, and on the wall-clock runtimes the At stamp is a clock reading, so
+// a hook tests the recorder before it builds the event: core's hooks all go
+// through Engine.record, which stamps At and P only when Enabled; relink's
+// one hook reuses an instant its retransmission loop needs anyway.
 //
 // Traces export as JSONL (one event per line, fixed field order, byte-
 // stable across identical runs) and as Chrome trace_event JSON, which
