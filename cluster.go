@@ -569,8 +569,9 @@ func (c *Cluster) changeMembership(p int, join bool) error {
 // Next returns process p's next delivery, waiting up to timeout. ok is
 // false on timeout, and at once when the cluster is closed and p's
 // deliveries are drained. A delivery that is already waiting is taken
-// without making a timer: a consumer that keeps up with a busy process pays
-// one lock per delivery.
+// without a timer: a consumer that keeps up with a busy process pays one
+// lock per delivery. One that has to wait borrows a stopped timer from
+// deadlines, so in the steady state no call makes one.
 func (c *Cluster) Next(p int, timeout time.Duration) (d Delivery, ok bool) {
 	if p < 1 || p > c.n {
 		return Delivery{}, false
@@ -578,10 +579,22 @@ func (c *Cluster) Next(p int, timeout time.Duration) (d Delivery, ok bool) {
 	if d, ok = c.queues[p].TryGet(); ok {
 		return d, true
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	return c.queues[p].Get(deadline.C)
+	deadline := deadlines.Get().(*time.Timer)
+	deadline.Reset(timeout)
+	d, ok = c.queues[p].Get(deadline.C)
+	// Since Go 1.23 a stopped timer's channel holds no stale expiry, so the
+	// timer goes back as good as new.
+	deadline.Stop()
+	deadlines.Put(deadline)
+	return d, ok
 }
+
+// deadlines holds the stopped timers Next waits on.
+var deadlines = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // Stats is a snapshot of one process's engine counters.
 type Stats struct {

@@ -271,6 +271,99 @@ func TestNextWithDeliveryWaitingAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNextWaitingAllocatesNothing: a Next that has to wait borrows a timer
+// instead of making one (the parent made one per call).
+func TestNextWaitingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops timers put back, so Next makes some")
+	}
+	c, err := New(1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	delivered := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := c.Next(1, time.Millisecond); ok {
+			delivered++
+		}
+	})
+	if delivered != 0 || allocs != 0 {
+		t.Fatalf("Next on an empty queue: %v allocs per call, %d deliveries out of nowhere", allocs, delivered)
+	}
+}
+
+// TestNextTimersRace: consumers waiting out short deadlines and woken by
+// deliveries reuse the timers Next pools — four consumers, two of them on
+// p1, hand them back and forth. A timer put back still running, or with a
+// stale expiry, would end a later wait early: no wait may end before
+// its deadline, p1's two consumers together must see every delivery once,
+// and p2 and p3 the same sequence. Meant for -race.
+func TestNextTimersRace(t *testing.T) {
+	const n, count = 3, 300
+	c, err := New(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		got = make([][]Delivery, n+1)
+	)
+	consume := func(p int) {
+		defer wg.Done()
+		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); {
+			mu.Lock()
+			done := len(got[p]) == count
+			mu.Unlock()
+			if done {
+				return
+			}
+			start := time.Now()
+			d, ok := c.Next(p, 200*time.Microsecond)
+			if !ok {
+				if waited := time.Since(start); waited < 200*time.Microsecond {
+					t.Errorf("p%d: Next gave up after %v, before its deadline", p, waited)
+					return
+				}
+				continue
+			}
+			mu.Lock()
+			got[p] = append(got[p], d)
+			mu.Unlock()
+		}
+	}
+	for _, p := range []int{1, 1, 2, 3} {
+		wg.Add(1)
+		go consume(p)
+	}
+	for i := 0; i < count; i++ {
+		if err := c.Broadcast(1+i%n, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			time.Sleep(time.Millisecond) // let the consumers run dry and wait
+		}
+	}
+	wg.Wait()
+	seen := map[[2]uint64]bool{}
+	for _, d := range got[1] {
+		seen[[2]uint64{uint64(d.Sender), d.Seq}] = true
+	}
+	if len(got[1]) != count || len(seen) != count {
+		t.Fatalf("p1's consumers took %d deliveries, %d distinct, want %d", len(got[1]), len(seen), count)
+	}
+	if len(got[2]) != count || len(got[3]) != count {
+		t.Fatalf("p2 consumed %d, p3 %d of %d deliveries", len(got[2]), len(got[3]), count)
+	}
+	for i, d := range got[3] {
+		if w := got[2][i]; d.Sender != w.Sender || d.Seq != w.Seq || string(d.Payload) != string(w.Payload) {
+			t.Fatalf("p3 delivery %d = %+v, p2's = %+v", i, d, w)
+		}
+	}
+}
+
 func TestClusterStats(t *testing.T) {
 	c, err := New(3, Options{})
 	if err != nil {

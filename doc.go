@@ -259,7 +259,12 @@
 // internal/core/persist_test.go pins memory flat over hours of simulated
 // churn. Cluster.Restart (simulator: bench Experiment.RestartProc) revives
 // a crashed process from its store: rehydrate the checkpoint, replay the
-// WAL, rejoin, and catch the tail through the recovery paths.
+// WAL, catch the tail through the recovery paths, and rejoin. Until it has
+// caught up, the restarted process sends no heartbeat and proposes nothing,
+// so the others keep suspecting it and never wait for it as a consensus
+// coordinator; its first heartbeat leaves once it knows of no decision it
+// lacks, or at once if the others could no longer decide without its vote
+// (a group of two, or a peer it suspects has crashed).
 //
 // The crash-recovery guarantee matrix, pinned by the restart property tests
 // in internal/core/persist_test.go and cluster_test.go:

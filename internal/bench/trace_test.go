@@ -241,7 +241,7 @@ func TestTraceDoubleRunIdenticalJSONL(t *testing.T) {
 // pinnedArchive is the newest archived point of the virtual-time trajectory
 // (docs/OPERATIONS.md "Pinned trajectory"): a PR that archives a new point
 // repoints it.
-const pinnedArchive = "BENCH_32a8f08.json"
+const pinnedArchive = "BENCH_b66b694.json"
 
 // TestPinnedArchiveByteIdentical regenerates the pinned figure set at the
 // archived scale and compares it byte-for-byte against the checked-in

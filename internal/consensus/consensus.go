@@ -143,7 +143,7 @@ type Config struct {
 	// evicted, so no amount of relaying can catch it up. The callback is the
 	// seam for snapshot state transfer (the layer above offers the peer its
 	// delivered prefix plus engine state; see core's snapshot subsystem).
-	// Invocations share the per-peer relayCooldown rate limit with ordinary
+	// Invocations share the per-peer RelayCooldown rate limit with ordinary
 	// relays. Without the callback, a deep-lagged peer gets the best-effort
 	// logged tail, which cannot close its gap.
 	OnDeepLag func(q stack.ProcessID, from uint64)
@@ -179,11 +179,11 @@ const (
 	// otherwise idle pipelined instance — small against any consensus round
 	// trip.
 	openDelay = 250 * time.Microsecond
-	// relayCooldown rate-limits relays per peer: a peer's stale traffic
+	// RelayCooldown rate-limits relays per peer: a peer's stale traffic
 	// triggers at most one relay batch per cooldown, which both bounds the
 	// cost of traffic that merely crossed a prune on the wire and paces
 	// multi-batch catch-up.
-	relayCooldown = 50 * time.Millisecond
+	RelayCooldown = 50 * time.Millisecond
 	// relayBatch caps decisions sent per relay, bounding the burst a healed
 	// peer receives; its next stale message (or decide re-broadcast) after
 	// the cooldown triggers the next batch.
@@ -689,7 +689,7 @@ func (s *Service) maybeRelay(q stack.ProcessID, k uint64) {
 		return
 	}
 	now := s.proto.Ctx().Now()
-	if last, ok := s.lastRelay[q]; ok && now.Sub(last) < relayCooldown {
+	if last, ok := s.lastRelay[q]; ok && now.Sub(last) < RelayCooldown {
 		return
 	}
 	s.lastRelay[q] = now

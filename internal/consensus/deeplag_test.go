@@ -125,7 +125,7 @@ func TestDeepLagSharesRelayCooldown(t *testing.T) {
 	h.w.After(1, time.Millisecond, func() { svc1.PruneBelow(instances + 1) })
 	// Two deep requests inside one cooldown window: only the first detects.
 	h.w.After(3, 5*time.Millisecond, func() { h.svcs[3].RequestSync(1, 1) })
-	h.w.After(3, 5*time.Millisecond+relayCooldown/2, func() { h.svcs[3].RequestSync(1, 2) })
+	h.w.After(3, 5*time.Millisecond+RelayCooldown/2, func() { h.svcs[3].RequestSync(1, 2) })
 	h.w.RunFor(time.Second)
 	if got := svc1.DeepLagCount(); got != 1 {
 		t.Fatalf("deep-lag detections = %d, want 1 (cooldown must rate-limit)", got)

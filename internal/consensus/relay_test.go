@@ -80,7 +80,7 @@ func TestDecideRelayLogBoundedAndAnswersSync(t *testing.T) {
 	// (instances 3..6) can be relayed. The second request lands inside the
 	// per-peer cooldown and must be rate-limited away.
 	h.w.After(3, 5*time.Millisecond, func() { h.svcs[3].RequestSync(1, 1) })
-	h.w.After(3, 5*time.Millisecond+relayCooldown/2, func() { h.svcs[3].RequestSync(1, 1) })
+	h.w.After(3, 5*time.Millisecond+RelayCooldown/2, func() { h.svcs[3].RequestSync(1, 1) })
 	h.w.RunFor(time.Second)
 	if got := svc1.RelayCount(); got != logCap {
 		t.Fatalf("relayed %d decisions, want %d (the logged tail, once)", got, logCap)

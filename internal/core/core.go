@@ -326,6 +326,7 @@ type Engine struct {
 	linkReserve   uint64                     // WAL'd relink sequence reservation
 	prunedTo      uint64                     // boundary of the last prune round
 	restartProbes int                        // post-restart sync probes still owed
+	held          *fd.Heartbeat              // a restarted incarnation's detector until it rejoins (see rejoin)
 	ckpts         *metrics.Counter
 	prunes        *metrics.Counter
 	persistErrs   *metrics.Counter
@@ -372,13 +373,30 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: Persist with nil Store")
 	}
 	cfg.resolve()
+	var cp *persist.Checkpoint
+	if cfg.Persist != nil {
+		// Read once, here: whether this is a restarted incarnation decides how
+		// its detector starts.
+		var err error
+		if cp, err = persist.Recover(cfg.Persist.Store); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	var held *fd.Heartbeat
 	if cfg.Detector == nil {
 		// The default ◇S detector. Made here — after validation, before any
 		// other layer is wired — so its first heartbeat and timers are
 		// scheduled where every hand-assembled stack used to schedule them.
+		// A restarted incarnation's starts held (see rejoin); a detector the
+		// caller supplies is never held.
 		hb := fd.DefaultConfig()
 		hb.Metrics = cfg.Metrics
-		cfg.Detector = fd.NewHeartbeat(node, hb)
+		if cp != nil {
+			held = fd.NewHeldHeartbeat(node, hb)
+			cfg.Detector = held
+		} else {
+			cfg.Detector = fd.NewHeartbeat(node, hb)
+		}
 	}
 	e := &Engine{
 		ctx:      node.Context(),
@@ -392,6 +410,7 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 		inFlight: make(map[uint64]proposal),
 		needed:   make(map[uint64]bool),
 		pending:  make(map[uint64]consensus.Value),
+		held:     held,
 	}
 	// Metric handles before any init step that may bump them (rehydrate
 	// restores the delivered count; a failing store surfaces errors).
@@ -422,9 +441,7 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 		// After initMembership (rehydrating may replace the seed view log),
 		// before initRecovery (which consumes the Link config initPersist
 		// rewires).
-		if err := e.initPersist(); err != nil {
-			return nil, err
-		}
+		e.initPersist(cp)
 	}
 
 	// Diffusion layer.
@@ -491,8 +508,10 @@ func New(node *stack.Node, cfg Config) (*Engine, error) {
 	}
 	if e.pstore != nil {
 		// Same rule for the checkpoint loop — and a restarted incarnation
-		// starts probing for the tail it missed while down.
+		// starts probing for the tail it missed while down — held, unless
+		// its group cannot decide without it (n ≤ 2; see rejoin).
 		e.armCkpt()
+		e.rejoin()
 		e.armSyncReq()
 	}
 	e.winGauge.Set(int64(e.window))
@@ -588,7 +607,13 @@ func (e *Engine) onRDeliver(app *msg.App) {
 // beacon (consensus.OpenMsg). Conversely, when another process opens an
 // instance this process has no identifiers for, it joins with an empty
 // batch so quorums stay reachable.
+//
+// A restarted incarnation proposes nothing, and so casts no vote, until it
+// rejoins.
 func (e *Engine) maybePropose() {
+	if e.held != nil {
+		return
+	}
 	for len(e.inFlight) < e.window {
 		k := e.kPropose
 		if _, decided := e.pending[k]; decided {
@@ -691,6 +716,7 @@ func (e *Engine) onDecide(k uint64, v consensus.Value) {
 	// Decisions left pending mean kNext is missing here — a hole that,
 	// after a lossy episode, only an explicit sync may fill.
 	e.armSyncReq()
+	e.rejoin()
 	e.maybePropose()
 }
 

@@ -37,17 +37,21 @@ package core
 //     checkpoint only lengthens the redelivered suffix.
 //   - Restart: New finds the store non-empty, rehydrates (rehydrate), and
 //     probes peers for the tail (restartProbes rides the existing sync
-//     timer): the decide-relay replays what its log still holds, and a
-//     deeper gap arrives as a snapshot. Deliveries since the last
-//     checkpoint repeat — atomic broadcast across a crash is at-least-once,
-//     in unchanged total order (see doc.go's guarantee matrix).
+//     timer, at catchupDelay): the decide-relay replays what its log still
+//     holds, and a deeper gap arrives as a snapshot. Deliveries since the
+//     last checkpoint repeat — atomic broadcast across a crash is
+//     at-least-once, in unchanged total order (see doc.go's guarantee
+//     matrix).
+//   - Rejoin: until it has caught up, a restarted incarnation with the
+//     default detector sends no heartbeat and proposes nothing (rejoin), so
+//     the group does not wait for it as a coordinator — unless the peers it
+//     trusts could not decide without it, which ends the hold at once.
 //
 // Every behavior here is gated on cfg.Persist; with it nil the engine is
 // byte-for-byte the pre-persistence engine (the pinned benchmark trajectory
 // pins this).
 
 import (
-	"fmt"
 	"time"
 
 	"abcast/internal/persist"
@@ -84,13 +88,14 @@ type FrontierMsg struct {
 // WireSize implements stack.Message.
 func (m FrontierMsg) WireSize() int { return 9 }
 
-// initPersist opens the store, rehydrates a previous incarnation's state,
-// and wires the WAL-backed relink reservation (called from New when
-// cfg.Persist is set — after initMembership, whose seed view rehydrate may
-// replace, and before initRecovery, which consumes the Link config).
+// initPersist adopts the store, rehydrates the previous incarnation's state
+// from cp (the checkpoint New recovered; nil for a fresh process), and wires
+// the WAL-backed relink reservation (called from New when cfg.Persist is set
+// — after initMembership, whose seed view rehydrate may replace, and before
+// initRecovery, which consumes the Link config).
 //
 //abcheck:entry constructor path; runs before the event loop starts
-func (e *Engine) initPersist() error {
+func (e *Engine) initPersist(cp *persist.Checkpoint) {
 	pc := e.cfg.Persist
 	e.pstore = pc.Store
 	e.ckptEvery = pc.Interval
@@ -98,10 +103,6 @@ func (e *Engine) initPersist() error {
 		e.ckptEvery = DefaultCheckpointInterval
 	}
 	e.peerFrontier = make(map[stack.ProcessID]uint64)
-	cp, err := persist.Recover(pc.Store)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	if cp != nil {
 		e.rehydrate(cp)
 	}
@@ -113,7 +114,6 @@ func (e *Engine) initPersist() error {
 		e.cfg.Recover.Link.StartSeq = e.linkReserve
 	}
 	e.cfg.Recover.Link.OnReserve = e.onLinkReserve
-	return nil
 }
 
 // rehydrate restores the engine from a recovered checkpoint: resume
@@ -150,6 +150,43 @@ func (e *Engine) rehydrate(cp *persist.Checkpoint) {
 	// conditions take over.
 	e.restartProbes = 2 * e.ctx.N()
 	e.record(trace.Event{Kind: trace.KindRestart, K: cp.Frontier, N: len(cp.Entries)})
+}
+
+// rejoin ends a restarted incarnation's hold — one heartbeat at once, and
+// proposals again — the first time it knows of no decision it lacks (restart
+// probes spent, no hole below a pending decision, snapshot target reached),
+// or the first time the peers it trusts are no quorum without it. It is
+// checked where those change: New, syncTick (every catchupDelay while
+// held), onDecide, installSnapshot. Until then the others keep suspecting it
+// from its downtime and run every round it would coordinate past it; a
+// process that proposes nothing casts no vote, so the hold changes who is
+// waited for, never what is decided. Nor whether: while its vote is withheld
+// the others are a quorum, and once one of them crashes the detector's
+// completeness ends the hold (docs/ARCHITECTURE.md, "Rejoin").
+func (e *Engine) rejoin() {
+	if e.held == nil || (e.needsSync() && e.quorumWithoutSelf()) {
+		return
+	}
+	e.held.Release()
+	e.held = nil
+	e.maybePropose()
+}
+
+// quorumWithoutSelf reports whether the peers a held engine trusts are a
+// majority of its group on their own. A lone process, or one of two, never
+// is: the others cannot decide without its vote.
+func (e *Engine) quorumWithoutSelf() bool {
+	n, trusted := e.ctx.N(), 0
+	for q := stack.ProcessID(1); int(q) <= n; q++ {
+		// Outside the view counts as suspected (fd.Heartbeat.Suspects).
+		if q != e.ctx.ID() && !e.held.Suspects(q) {
+			trusted++
+		}
+	}
+	if e.dynamic() {
+		n = len(e.views[len(e.views)-1].members)
+	}
+	return trusted > n/2
 }
 
 // noteSeq write-ahead-logs the engine's own broadcast sequence number,

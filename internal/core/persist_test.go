@@ -35,6 +35,8 @@ type pcluster struct {
 	// MemStore across incarnations, or a fresh FileStore handle on the same
 	// directory (what a real restarted OS process would do).
 	reopen func(p int) persist.Store
+	// tweaks adjust every incarnation's configuration (variant, trace).
+	tweaks []func(*Config)
 
 	engines   []*Engine           // index 0 unused; current incarnation
 	delivered [][]msg.ID          // cumulative across incarnations
@@ -42,7 +44,7 @@ type pcluster struct {
 	payloads  []map[msg.ID]string // cumulative
 }
 
-func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, rb rbcast.Kind, reopen func(p int) persist.Store) *pcluster {
+func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, rb rbcast.Kind, reopen func(p int) persist.Store, tweaks ...func(*Config)) *pcluster {
 	t.Helper()
 	params := netmodel.Setup1()
 	c := &pcluster{
@@ -52,6 +54,7 @@ func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, 
 		interval:  interval,
 		rb:        rb,
 		reopen:    reopen,
+		tweaks:    tweaks,
 		engines:   make([]*Engine, n+1),
 		delivered: make([][]msg.ID, n+1),
 		inc:       make([][]msg.ID, n+1),
@@ -79,6 +82,9 @@ func (c *pcluster) startProc(p int, node *stack.Node) {
 			c.inc[p] = append(c.inc[p], app.ID)
 			c.payloads[p][app.ID] = string(app.Payload)
 		},
+	}
+	for _, tweak := range c.tweaks {
+		tweak(&cfg)
 	}
 	eng, err := New(node, cfg)
 	if err != nil {

@@ -29,6 +29,7 @@ package core
 import (
 	"time"
 
+	"abcast/internal/consensus"
 	"abcast/internal/msg"
 	"abcast/internal/relink"
 	"abcast/internal/stack"
@@ -60,6 +61,12 @@ type RecoverConfig struct {
 // before fetching it from a peer, and the retry cadence thereafter: far above
 // any LAN/WAN diffusion latency, so it only fires on genuine loss.
 const fetchDelay = 100 * time.Millisecond
+
+// catchupDelay is the decision-sync cadence while a restarted incarnation is
+// held (see rejoin): half the decide-relay's per-peer cooldown, so rotating
+// over two or more peers asks no responder twice inside its cooldown, and
+// answers of up to 64 decisions outpace what a loaded group decides.
+const catchupDelay = consensus.RelayCooldown / 2
 
 // rediffuseDelay is how long a received message may sit unordered before
 // this process re-R-broadcasts it. The reliable broadcasts relay only on
@@ -252,7 +259,11 @@ func (e *Engine) armSyncReq() {
 		return
 	}
 	e.syncArmed = true
-	e.ctx.SetTimer(fetchDelay, e.syncTick)
+	delay := fetchDelay
+	if e.held != nil {
+		delay = catchupDelay
+	}
+	e.ctx.SetTimer(delay, e.syncTick)
 }
 
 // syncTick requests the missing decisions from one peer, rotating the
@@ -260,24 +271,22 @@ func (e *Engine) armSyncReq() {
 // the hole closes within a round trip and the timer finds nothing to do.
 func (e *Engine) syncTick() {
 	e.syncArmed = false
-	if !e.needsSync() {
-		return
+	if e.needsSync() {
+		q := e.nextPeer(e.syncAttempt)
+		e.syncAttempt++
+		if q != 0 { // 0: the sole survivor of a shrunken view, nobody to ask yet
+			e.syncReqs.Inc()
+			e.cons.RequestSync(q, e.kNext)
+			if e.restartProbes > 0 {
+				// A restarted engine probes a bounded number of peers for the
+				// tail it missed while down; each answer is a relay (shallow
+				// gap) or a snapshot offer (behind the relay floor), and the
+				// other needsSync conditions carry the catch-up from there.
+				e.restartProbes--
+			}
+		}
 	}
-	q := e.nextPeer(e.syncAttempt)
-	e.syncAttempt++
-	if q == 0 {
-		e.armSyncReq()
-		return
-	}
-	e.syncReqs.Inc()
-	e.cons.RequestSync(q, e.kNext)
-	if e.restartProbes > 0 {
-		// A restarted engine probes a bounded number of peers for the tail
-		// it missed while down; each answer is a relay (shallow gap) or a
-		// snapshot offer (behind the relay floor), and the other needsSync
-		// conditions carry the catch-up from there.
-		e.restartProbes--
-	}
+	e.rejoin()
 	e.armSyncReq()
 }
 

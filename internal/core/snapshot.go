@@ -399,6 +399,7 @@ func (e *Engine) installSnapshot(producer stack.ProcessID, boundary, start uint6
 	}
 	e.armFetch()
 	e.armSyncReq()
+	e.rejoin()
 	e.maybePropose()
 }
 

@@ -14,6 +14,13 @@
 // A detector is shared by the layers of one stack, each subscribing once, at
 // construction; notification is in subscription order and costs no
 // allocation.
+//
+// A Heartbeat may start held (NewHeldHeartbeat): it monitors its peers as
+// usual but sends no heartbeat until Release, so the others keep suspecting
+// it. The atomic broadcast engine holds the detector of a restarted
+// incarnation until it has caught up — or until the peers it trusts could no
+// longer decide without it — which keeps it from being waited for as a
+// coordinator while it can contribute nothing (see internal/core).
 package fd
 
 import (
@@ -97,7 +104,7 @@ type Heartbeat struct {
 	peers    []*peer
 	subs     subscriptions
 	stopped  bool
-	cancelHB func()
+	cancelHB func() // the armed heartbeat timer; nil until the first tick (held)
 
 	// Counter cells, registered under fd.* when Config.Metrics is set.
 	heartbeats   *metrics.Counter
@@ -126,6 +133,16 @@ var _ Detector = (*Heartbeat)(nil)
 // NewHeartbeat wires a heartbeat detector into the node under
 // stack.ProtoFD and starts emitting heartbeats.
 func NewHeartbeat(node *stack.Node, cfg Config) *Heartbeat {
+	h := NewHeldHeartbeat(node, cfg)
+	h.tick()
+	return h
+}
+
+// NewHeldHeartbeat is NewHeartbeat for a detector that starts held: it
+// monitors its peers — suspecting the silent, trusting them again on their
+// heartbeats — but sends no heartbeat, not even the one NewHeartbeat sends at
+// construction, until Release.
+func NewHeldHeartbeat(node *stack.Node, cfg Config) *Heartbeat {
 	h := &Heartbeat{
 		proto: node.Proto(stack.ProtoFD),
 		cfg:   cfg,
@@ -141,8 +158,16 @@ func NewHeartbeat(node *stack.Node, cfg Config) *Heartbeat {
 			h.monitor(q)
 		}
 	}
-	h.tick()
 	return h
+}
+
+// Release ends the hold of a detector made by NewHeldHeartbeat: one heartbeat
+// leaves at once, then they follow at the normal cadence. It is a no-op on a
+// detector that is not held, stopped or crashed.
+func (h *Heartbeat) Release() {
+	if h.cancelHB == nil {
+		h.tick()
+	}
 }
 
 // monitor starts monitoring q, trusted with a fresh InitialTimeout.

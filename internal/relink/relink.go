@@ -14,7 +14,8 @@
 //   - every remote send is assigned a per-(sender, receiver) sequence number
 //     and retained in a bounded per-peer retransmission buffer until the
 //     receiver acknowledges it (oldest entries are evicted beyond
-//     Config.BufferCap — see below);
+//     Config.BufferCap — see below); the *SeqMsg sent is itself the retained
+//     copy, never written once it has left, so a send costs one allocation;
 //   - the receiver tracks, per peer, the contiguous prefix it has seen and
 //     the out-of-order sequence numbers beyond it; duplicates are dropped, so
 //     upper layers still see each message at most once;
@@ -126,6 +127,11 @@ const reserveSlack = 1024
 // SeqMsg wraps one protocol envelope with its stream sequence number. Low is
 // the sender's eviction watermark: no sequence number below it can be
 // retransmitted anymore, so the receiver gives up waiting for those.
+//
+// A SeqMsg travels as a pointer. The one Link.Send builds is also the copy
+// the sender retains, never written once it has left, so a receiver on
+// another goroutine may read it meanwhile; a retransmission is a fresh
+// SeqMsg with the current watermark.
 type SeqMsg struct {
 	Seq uint64
 	Low uint64
@@ -133,7 +139,7 @@ type SeqMsg struct {
 }
 
 // WireSize implements stack.Message.
-func (m SeqMsg) WireSize() int { return 16 + m.Env.WireSize() }
+func (m *SeqMsg) WireSize() int { return 16 + m.Env.WireSize() }
 
 // AckMsg is the receiver's digest of one incoming stream: every sequence
 // number ≤ Cum has been accounted for (delivered or given up), and Have
@@ -186,12 +192,13 @@ type Stats struct {
 }
 
 // outStream is the sender side of one directed stream: a ring of envelopes
-// indexed by sequence number, base..base+len-1, nil where acknowledged.
+// indexed by sequence number, base..base+len-1, settled where acknowledged
+// or evicted.
 type outStream struct {
 	next    uint64 // last sequence number assigned
 	base    uint64 // sequence number of entries[0]; everything below is settled
-	entries []*outEntry
-	live    int // non-nil entries
+	entries []outEntry
+	live    int // unsettled entries
 	// unanswered counts consecutive probes with no digest back; at
 	// maxProbes the stream stops probing until fresh traffic or a digest
 	// resets it.
@@ -208,8 +215,10 @@ type outStream struct {
 	rtt stats.Ewma
 }
 
+// outEntry is one retained envelope: the SeqMsg first sent for it (nil once
+// settled) and when it was last (re)sent.
 type outEntry struct {
-	env      stack.Envelope
+	msg      *SeqMsg
 	lastSent time.Time
 }
 
@@ -377,14 +386,16 @@ func (l *Link) Send(to stack.ProcessID, env stack.Envelope) {
 		l.reserve = os.next + reserveSlack
 		l.cfg.OnReserve(l.reserve)
 	}
-	os.entries = append(os.entries, &outEntry{env: env, lastSent: l.ctx.Now()})
+	m := &SeqMsg{Seq: os.next, Env: env}
+	os.entries = append(os.entries, outEntry{msg: m, lastSent: l.ctx.Now()})
 	os.live++
 	os.unanswered = 0 // fresh traffic re-earns the probe budget
 	l.sequenced.Inc()
 	for os.live > l.cfg.BufferCap {
 		l.evictOldest(os)
 	}
-	l.ctx.Send(to, stack.Envelope{Proto: stack.ProtoLink, Msg: SeqMsg{Seq: os.next, Low: os.base, Env: env}})
+	m.Low = os.base // the watermark after this send's evictions
+	l.ctx.Send(to, stack.Envelope{Proto: stack.ProtoLink, Msg: m})
 	l.arm()
 }
 
@@ -392,8 +403,8 @@ func (l *Link) Send(to stack.ProcessID, env stack.Envelope) {
 // watermark past it.
 func (l *Link) evictOldest(os *outStream) {
 	for i := range os.entries {
-		if os.entries[i] != nil {
-			os.entries[i] = nil
+		if os.entries[i].msg != nil {
+			os.entries[i].msg = nil
 			os.live--
 			l.evicted.Inc()
 			break
@@ -405,7 +416,7 @@ func (l *Link) evictOldest(os *outStream) {
 // trim drops settled entries from the front of the ring.
 func (os *outStream) trim() {
 	i := 0
-	for i < len(os.entries) && os.entries[i] == nil {
+	for i < len(os.entries) && os.entries[i].msg == nil {
 		i++
 	}
 	os.entries = os.entries[i:]
@@ -435,7 +446,7 @@ func (l *Link) inFrom(q stack.ProcessID) *inStream {
 // receive handles link control traffic (ProtoLink).
 func (l *Link) receive(from stack.ProcessID, _ uint64, m stack.Message) {
 	switch mm := m.(type) {
-	case SeqMsg:
+	case *SeqMsg:
 		l.onSeq(from, mm)
 	case AckMsg:
 		l.onAck(from, mm)
@@ -446,7 +457,7 @@ func (l *Link) receive(from stack.ProcessID, _ uint64, m stack.Message) {
 
 // onSeq accounts for one sequenced arrival and dispatches its envelope
 // upward unless it is a duplicate.
-func (l *Link) onSeq(from stack.ProcessID, m SeqMsg) {
+func (l *Link) onSeq(from stack.ProcessID, m *SeqMsg) {
 	is := l.inFrom(from)
 	l.giveUpBelow(is, m.Low)
 	if m.Seq <= is.cum || is.have[m.Seq] {
@@ -518,15 +529,15 @@ func (l *Link) onAck(from stack.ProcessID, m AckMsg) {
 	// Settle everything the digest covers.
 	for i := range os.entries {
 		seq := os.base + uint64(i)
-		if os.entries[i] != nil && seq <= m.Cum {
-			os.entries[i] = nil
+		if os.entries[i].msg != nil && seq <= m.Cum {
+			os.entries[i].msg = nil
 			os.live--
 		}
 	}
 	for _, seq := range m.Have {
 		if seq >= os.base {
-			if i := int(seq - os.base); i < len(os.entries) && os.entries[i] != nil {
-				os.entries[i] = nil
+			if i := int(seq - os.base); i < len(os.entries) && os.entries[i].msg != nil {
+				os.entries[i].msg = nil
 				os.live--
 			}
 		}
@@ -541,14 +552,13 @@ func (l *Link) onAck(from stack.ProcessID, m AckMsg) {
 		if resent >= burst {
 			break
 		}
-		e := os.entries[i]
-		if e == nil || now.Sub(e.lastSent) < l.interval {
+		e := &os.entries[i]
+		if e.msg == nil || now.Sub(e.lastSent) < l.interval {
 			continue
 		}
-		seq := os.base + uint64(i)
 		e.lastSent = now
 		l.retransmitted.Inc()
-		l.ctx.Send(from, stack.Envelope{Proto: stack.ProtoLink, Msg: SeqMsg{Seq: seq, Low: os.base, Env: e.env}})
+		l.ctx.Send(from, stack.Envelope{Proto: stack.ProtoLink, Msg: &SeqMsg{Seq: e.msg.Seq, Low: os.base, Env: e.msg.Env}})
 		resent++
 	}
 	if resent > 0 {
@@ -632,7 +642,7 @@ func (l *Link) tick() {
 }
 
 var (
-	_ stack.Message = SeqMsg{}
+	_ stack.Message = (*SeqMsg)(nil)
 	_ stack.Message = AckMsg{}
 	_ stack.Message = ProbeMsg{}
 	_ stack.Sender  = (*Link)(nil)

@@ -147,7 +147,7 @@ func TestBufferBoundsAndEviction(t *testing.T) {
 func TestDedupDropsRepeatedSeq(t *testing.T) {
 	h := newHarness(t, 2, Config{}, 3)
 	env := stack.Envelope{Proto: stack.ProtoApp, Msg: tmsg{N: 7}}
-	wrapped := stack.Envelope{Proto: stack.ProtoLink, Msg: SeqMsg{Seq: 1, Low: 1, Env: env}}
+	wrapped := stack.Envelope{Proto: stack.ProtoLink, Msg: &SeqMsg{Seq: 1, Low: 1, Env: env}}
 	// Emit the same SeqMsg three times, as a retransmitting sender would.
 	for i := 0; i < 3; i++ {
 		d := time.Duration(i+1) * time.Millisecond

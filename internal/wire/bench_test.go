@@ -48,7 +48,7 @@ func benchCases() []benchCase {
 			M:     consensus.CTEstimateMsg{R: 0, TS: -1, Est: est},
 		}}},
 		{"consensus.DecideMsg", stack.Envelope{Proto: stack.ProtoCons, Inst: 41, Msg: consensus.DecideMsg{Est: est}}},
-		{"relink.SeqMsg", stack.Envelope{Proto: stack.ProtoLink, Msg: relink.SeqMsg{Seq: 77, Low: 12,
+		{"relink.SeqMsg", stack.Envelope{Proto: stack.ProtoLink, Msg: &relink.SeqMsg{Seq: 77, Low: 12,
 			Env: stack.Envelope{Proto: stack.ProtoRB, Msg: rbcast.DataMsg{App: app}}}}},
 		{"relink.AckMsg", stack.Envelope{Proto: stack.ProtoLink, Msg: relink.AckMsg{Cum: 70, Have: []uint64{72, 75}}}},
 		{"fd.HeartbeatMsg", stack.Envelope{Proto: stack.ProtoFD, Msg: fd.HeartbeatMsg{}}},

@@ -35,7 +35,7 @@ const (
 	tagOpen       byte = 9  // consensus.OpenMsg
 	tagPiggy      byte = 10 // consensus.PiggyMsg
 	tagSyncReq    byte = 11 // consensus.SyncReqMsg
-	tagLinkSeq    byte = 12 // relink.SeqMsg
+	tagLinkSeq    byte = 12 // *relink.SeqMsg
 	tagLinkAck    byte = 13 // relink.AckMsg
 	tagLinkProbe  byte = 14 // relink.ProbeMsg
 	tagFetch      byte = 15 // core.FetchMsg
@@ -155,7 +155,10 @@ func appendMessage(b []byte, m stack.Message, depth int) ([]byte, error) {
 	case consensus.SyncReqMsg:
 		b = append(b, tagSyncReq)
 		return bin.AppendUvarint(b, v.From), nil
-	case relink.SeqMsg:
+	case *relink.SeqMsg:
+		if v == nil {
+			return nil, errNilMessage
+		}
 		b = append(b, tagLinkSeq)
 		b = bin.AppendUvarint(b, v.Seq)
 		b = bin.AppendUvarint(b, v.Low)
@@ -346,9 +349,7 @@ func decodeMessage(r *bin.Reader, depth int) stack.Message {
 	case tagSyncReq:
 		return consensus.SyncReqMsg{From: r.Uvarint()}
 	case tagLinkSeq:
-		var m relink.SeqMsg
-		m.Seq = r.Uvarint()
-		m.Low = r.Uvarint()
+		m := &relink.SeqMsg{Seq: r.Uvarint(), Low: r.Uvarint()}
 		m.Env = decodeEnvelope(r, depth+1)
 		return m
 	case tagLinkAck:

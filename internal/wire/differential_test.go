@@ -50,7 +50,7 @@ func gobRegister() {
 		gob.Register(consensus.SyncReqMsg{})
 		gob.Register(core.IDSetValue{})
 		gob.Register(core.MsgSetValue{})
-		gob.Register(relink.SeqMsg{})
+		gob.Register(&relink.SeqMsg{})
 		gob.Register(relink.AckMsg{})
 		gob.Register(relink.ProbeMsg{})
 		gob.Register(core.FetchMsg{})
@@ -159,7 +159,7 @@ func TestDifferentialPerType(t *testing.T) {
 		env := randomEnvelope(rng, 0)
 		checkEquivalent(t, 3, env)
 		record(env.Msg)
-		if s, ok := env.Msg.(relink.SeqMsg); ok {
+		if s, ok := env.Msg.(*relink.SeqMsg); ok {
 			record(s.Env.Msg)
 		}
 	}
@@ -171,7 +171,7 @@ func TestDifferentialPerType(t *testing.T) {
 		consensus.CTEstimateMsg{}, consensus.CTProposalMsg{}, consensus.CTAckMsg{},
 		consensus.MREchoMsg{}, consensus.DecideMsg{}, consensus.OpenMsg{},
 		consensus.PiggyMsg{}, consensus.SyncReqMsg{},
-		relink.SeqMsg{}, relink.AckMsg{}, relink.ProbeMsg{},
+		&relink.SeqMsg{}, relink.AckMsg{}, relink.ProbeMsg{},
 		core.FetchMsg{}, core.SupplyMsg{},
 		core.SnapOfferMsg{}, core.SnapAcceptMsg{}, core.SnapChunkMsg{},
 		core.FrontierMsg{},

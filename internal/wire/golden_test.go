@@ -63,7 +63,7 @@ func goldenCases() []goldenCase {
 		{"consensus.OpenMsg", 3, stack.Envelope{Proto: stack.ProtoCons, Inst: 6, Msg: consensus.OpenMsg{Also: []uint64{7, 9}}}},
 		{"consensus.PiggyMsg", 1, stack.Envelope{Proto: stack.ProtoCons, Inst: 6, Msg: consensus.PiggyMsg{Opens: []uint64{7}, M: consensus.CTAckMsg{R: 1}}}},
 		{"consensus.SyncReqMsg", 2, stack.Envelope{Proto: stack.ProtoCons, Msg: consensus.SyncReqMsg{From: 12}}},
-		{"relink.SeqMsg", 3, stack.Envelope{Proto: stack.ProtoLink, Msg: relink.SeqMsg{Seq: 9, Low: 2, Env: stack.Envelope{Proto: stack.ProtoRB, Msg: rbcast.DataMsg{App: app}}}}},
+		{"relink.SeqMsg", 3, stack.Envelope{Proto: stack.ProtoLink, Msg: &relink.SeqMsg{Seq: 9, Low: 2, Env: stack.Envelope{Proto: stack.ProtoRB, Msg: rbcast.DataMsg{App: app}}}}},
 		{"relink.AckMsg", 1, stack.Envelope{Proto: stack.ProtoLink, Msg: relink.AckMsg{Cum: 5, Have: []uint64{7, 8}}}},
 		{"relink.ProbeMsg", 2, stack.Envelope{Proto: stack.ProtoLink, Msg: relink.ProbeMsg{Max: 11, Low: 4}}},
 		{"core.FetchMsg", 3, stack.Envelope{Proto: stack.ProtoSync, Msg: core.FetchMsg{IDs: []msg.ID{{Sender: 2, Seq: 3}}}}},

@@ -67,9 +67,9 @@ func caseEnvelopes() []stack.Envelope {
 		{Proto: stack.ProtoCons, Msg: consensus.SyncReqMsg{From: 42}},
 		// Recovery: reliable-link framing (nested envelope, incl. a
 		// piggybacked consensus message three levels deep).
-		{Proto: stack.ProtoLink, Msg: relink.SeqMsg{Seq: 10, Low: 3,
+		{Proto: stack.ProtoLink, Msg: &relink.SeqMsg{Seq: 10, Low: 3,
 			Env: stack.Envelope{Proto: stack.ProtoRB, Msg: rbcast.DataMsg{App: app}}}},
-		{Proto: stack.ProtoLink, Msg: relink.SeqMsg{Seq: 1,
+		{Proto: stack.ProtoLink, Msg: &relink.SeqMsg{Seq: 1,
 			Env: stack.Envelope{Proto: stack.ProtoCons, Inst: 2, Msg: consensus.PiggyMsg{
 				Opens: []uint64{3}, M: consensus.CTAckMsg{R: 4},
 			}}}},
@@ -278,7 +278,7 @@ func messageOfKind(rng *rand.Rand, kind, depth int) stack.Message {
 			M:     randomMessage(rng, depth+1),
 		}
 	default:
-		return relink.SeqMsg{
+		return &relink.SeqMsg{
 			Seq: rng.Uint64() >> uint(rng.Intn(64)),
 			Low: rng.Uint64() >> uint(rng.Intn(64)),
 			Env: randomEnvelope(rng, depth+1),
