@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -263,5 +264,26 @@ func TestPinnedArchiveByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("pinned set drifted from %s (got %d bytes, want %d)", pinnedArchive, got.Len(), len(want))
+	}
+}
+
+// TestArchivesAreDistinct: a trajectory point is archived only when the
+// pinned set changed, so no two archived points are the same bytes.
+func TestArchivesAreDistinct(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no archived points found (%v)", err)
+	}
+	seen := make(map[string]string, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, dup := seen[string(data)]; dup {
+			t.Errorf("%s is byte-identical to %s", filepath.Base(p), filepath.Base(first))
+			continue
+		}
+		seen[string(data)] = p
 	}
 }

@@ -597,7 +597,7 @@ func (s *Service) receive(from stack.ProcessID, k uint64, m stack.Message) {
 	// Decisions short-circuit everything, including the pre-propose
 	// buffer: a process can decide without having proposed.
 	if d, ok := m.(DecideMsg); ok {
-		inst.onDecide(d.Est)
+		inst.onDecide(m, d.Est)
 		return
 	}
 	if inst.decided {

@@ -197,6 +197,9 @@ func (c *ctInst) dispatch(from stack.ProcessID, m stack.Message) {
 		if i := slices.IndexFunc(rd.ests, func(e ctEst) bool { return e.from == from }); i >= 0 {
 			rd.ests[i].CTEstimateMsg = mm
 		} else {
+			if rd.ests == nil {
+				rd.ests = make([]ctEst, 0, c.n()) // only members send estimates
+			}
 			rd.ests = append(rd.ests, ctEst{from: from, CTEstimateMsg: mm})
 		}
 		c.tryCoordinatorPropose(mm.R)
@@ -228,3 +231,6 @@ func (c *ctInst) onSuspect(q stack.ProcessID) {
 		c.refuse(c.r)
 	}
 }
+
+// release implements algoImpl.
+func (c *ctInst) release() { *c = ctInst{} }

@@ -13,7 +13,7 @@ type instance struct {
 	decided    bool
 	decideSent bool
 	buffer     []bufferedMsg
-	impl       algoImpl
+	impl       algoImpl // allocated with the instance (newInstance)
 	// members is the instance's view (sorted), cached at propose time — the
 	// point where quorum math starts. (An instance can be created earlier, by
 	// buffered traffic, when the local view may still be behind;
@@ -29,13 +29,21 @@ type algoImpl interface {
 	dispatch(from stack.ProcessID, m stack.Message)
 	// onSuspect reacts to the failure detector newly suspecting q.
 	onSuspect(q stack.ProcessID)
+	// release drops the round state once the instance has decided: it shares
+	// the instance's allocation, which outlives the decision.
+	release()
 }
 
 // rounds is an algorithm's per-round state, one record per round the process
-// has entered or heard of, in the order first touched: almost always one. A
-// message may name any round (the number comes off the wire), so the table
-// is searched, never indexed.
-type rounds[T any] []roundRec[T]
+// has entered or heard of, in the order first touched. A message may name any
+// round (the number comes off the wire), so the table is searched, never
+// indexed. The first two records live inline: a decision in round 1 is
+// usually all there is, but every process other than the coordinator enters
+// round 2 as soon as it has acknowledged round 1.
+type rounds[T any] struct {
+	recs   []roundRec[T] // inline[:n] until a third round moves them to the heap
+	inline [2]roundRec[T]
+}
 
 type roundRec[T any] struct {
 	r   int
@@ -45,25 +53,35 @@ type roundRec[T any] struct {
 // at returns round r's record, made on first touch. The pointer is good until
 // the next call: a new record may move the others.
 func (t *rounds[T]) at(r int) *T {
-	for i := range *t {
-		if (*t)[i].r == r {
-			return &(*t)[i].rec
+	for i := range t.recs {
+		if t.recs[i].r == r {
+			return &t.recs[i].rec
 		}
 	}
-	*t = append(*t, roundRec[T]{r: r})
-	return &(*t)[len(*t)-1].rec
+	if t.recs == nil {
+		t.recs = t.inline[:0]
+	}
+	t.recs = append(t.recs, roundRec[T]{r: r})
+	return &t.recs[len(t.recs)-1].rec
 }
 
-// newInstance creates instance k in the not-yet-proposed state.
+// newInstance creates instance k in the not-yet-proposed state, in one
+// allocation with the round machinery of the configured algorithm.
 func newInstance(svc *Service, k uint64) *instance {
-	in := &instance{svc: svc, k: k}
-	switch svc.cfg.Algo {
-	case CT:
-		in.impl = &ctInst{in: in}
-	case MR:
-		in.impl = &mrInst{in: in}
+	if svc.cfg.Algo == MR {
+		b := &struct {
+			instance
+			mr mrInst
+		}{instance: instance{svc: svc, k: k}}
+		b.mr.in, b.impl = &b.instance, &b.mr
+		return &b.instance
 	}
-	return in
+	b := &struct {
+		instance
+		ct ctInst
+	}{instance: instance{svc: svc, k: k}}
+	b.ct.in, b.impl = &b.instance, &b.ct
+	return &b.instance
 }
 
 // ctx is a convenience accessor.
@@ -113,7 +131,7 @@ func (in *instance) propose(v Value) {
 // count toward quorums computed over the view (decisions never come through
 // here — they are accepted from anyone).
 func (in *instance) dispatch(from stack.ProcessID, m stack.Message) {
-	if in.decided || in.impl == nil {
+	if in.decided {
 		return
 	}
 	if !in.fromMember(from) {
@@ -133,20 +151,20 @@ func (in *instance) broadcastDecide(v Value) {
 	in.svc.broadcastDecideMsg(in.k, DecideMsg{Est: v}, true)
 }
 
-// onDecide handles a received decide message: relay once (reliable
-// broadcast semantics), settle the instance, release its state, and fire
-// the upcall.
-func (in *instance) onDecide(v Value) {
+// onDecide handles a received decide message m carrying v: relay m once
+// (reliable broadcast semantics), settle the instance, release its state,
+// and fire the upcall.
+func (in *instance) onDecide(m stack.Message, v Value) {
 	if in.decided {
 		return
 	}
 	if !in.decideSent {
 		in.decideSent = true
-		in.svc.broadcastDecideMsg(in.k, DecideMsg{Est: v}, false)
+		in.svc.broadcastDecideMsg(in.k, m, false)
 	}
 	in.decided = true
 	in.svc.logDecision(in.k, v)
-	in.impl = nil // release round state for GC
+	in.impl.release()
 	in.buffer = nil
 	if in.svc.cfg.Decide != nil {
 		in.svc.cfg.Decide(in.k, v)

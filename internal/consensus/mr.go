@@ -198,3 +198,6 @@ func (m *mrInst) onSuspect(q stack.ProcessID) {
 		}
 	}
 }
+
+// release implements algoImpl.
+func (m *mrInst) release() { *m = mrInst{} }

@@ -182,7 +182,11 @@ func (t *msgTable) deliverNext() (ordRec, *msg.App) {
 	if app == nil {
 		return ordRec{}, nil
 	}
-	t.ordered = t.ordered[1:]
+	if len(t.ordered) == 1 {
+		t.ordered = t.ordered[:0] // drained: keep the array for the next order
+	} else {
+		t.ordered = t.ordered[1:]
+	}
 	en.phase = phaseDelivered
 	if !t.retain {
 		en.app = nil

@@ -100,6 +100,31 @@ func checkTable(t testing.TB, e *Engine) {
 	}
 }
 
+// TestDrainedQueueKeepsItsArray: a serial run orders one message and
+// delivers it before the next is decided, draining the ordered queue each
+// time; the next order goes into the array the queue already has.
+func TestDrainedQueueKeepsItsArray(t *testing.T) {
+	const runs = 100
+	tb := msgTable{entries: make(map[msg.ID]msgEntry, 2*runs)}
+	for seq := uint64(1); seq <= runs+1; seq++ {
+		tb.receive(&msg.App{ID: msg.ID{Sender: 1, Seq: seq}}, time.Time{}, false)
+	}
+	seq := uint64(0)
+	got := testing.AllocsPerRun(runs, func() {
+		seq++
+		id := msg.ID{Sender: 1, Seq: seq}
+		if !tb.order(id, seq) {
+			t.Fatalf("%v not ordered", id)
+		}
+		if rec, app := tb.deliverNext(); app == nil || rec.id != id || len(tb.ordered) != 0 {
+			t.Fatalf("%v not delivered alone", id)
+		}
+	})
+	if got != 0 {
+		t.Errorf("order and delivery on a drained queue allocate %v objects, want 0", got)
+	}
+}
+
 // runChecked is World.RunFor(d) cut into slices, with checkTable on every
 // engine in between. engines is read afresh each slice (index 0 unused), so a
 // harness that swaps in a restarted incarnation gets the new one checked.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,14 +14,16 @@ import (
 	"testing"
 	"time"
 
+	"abcast/internal/consensus"
+	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/rbcast"
 	"abcast/internal/stack"
 	"abcast/internal/wire"
 )
 
-// Tests of the socket path: framing in place, one Write per wake-up, resend
-// from a frame boundary, and the adversarial length prefix.
+// Tests of the socket path: framing and decoding in place, one Write per
+// wake-up, resend from a frame boundary, and the adversarial length prefix.
 
 // numbered is test frame seq: a payload of size bytes, each byte(seq).
 func numbered(seq, size int) stack.Message {
@@ -205,11 +208,10 @@ func TestFailedWriteResendsFromFrameBoundary(t *testing.T) {
 		for _, c := range conns {
 			r := bufio.NewReader(&c.buf)
 			for {
-				data, err := readFrame(r)
-				if err != nil {
+				_, env, err := readFrame(r)
+				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					break // end of this connection, torn frame included
 				}
-				_, env, err := wire.DecodeEnvelope(data)
 				if err != nil {
 					t.Fatalf("n=%d: whole frame does not decode: %v", n, err)
 				}
@@ -251,11 +253,7 @@ func TestBacklogIsSplitIntoRuns(t *testing.T) {
 	}
 	r := bufio.NewReader(&conn.buf)
 	for seq := 1; seq <= frames; seq++ {
-		data, err := readFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", seq, err)
-		}
-		if _, env, err := wire.DecodeEnvelope(data); err != nil || seqOf(t, env.Msg) != seq {
+		if _, env, err := readFrame(r); err != nil || seqOf(t, env.Msg) != seq {
 			t.Fatalf("frame %d: out of order or undecodable (%v)", seq, err)
 		}
 	}
@@ -468,19 +466,117 @@ func TestHostileLengthPrefix(t *testing.T) {
 	eventually(t, "the reader to exit with its connection", func() bool { return runtime.NumGoroutine() <= goroutines })
 }
 
+// frame is m as peer 1 frames it for the wire: length prefix, then body.
+func frame(t testing.TB, m stack.Message) []byte {
+	t.Helper()
+	body, err := wire.EncodeEnvelope(1, stack.Envelope{Proto: stack.ProtoApp, Msg: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(header(uint32(len(body))), body...)
+}
+
 // TestReadFrameGrowsLargeBodies: a body above frameChunk arrives intact
 // through the chunked path, and a truncated one is an error.
 func TestReadFrameGrowsLargeBodies(t *testing.T) {
-	body := make([]byte, 2*frameChunk+frameChunk/2+3)
-	for i := range body {
-		body[i] = byte(i * 7)
+	app := &msg.App{ID: msg.ID{Sender: 1, Seq: 1}, Payload: make([]byte, 2*frameChunk+frameChunk/2+3)}
+	for i := range app.Payload {
+		app.Payload[i] = byte(i * 7)
 	}
-	stream := append(header(uint32(len(body))), body...)
-	got, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
-	if err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("large frame mangled (err %v, %d bytes)", err, len(got))
+	stream := frame(t, rbcast.DataMsg{App: app})
+	_, env, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
+	if err != nil || !bytes.Equal(env.Msg.(rbcast.DataMsg).App.Payload, app.Payload) {
+		t.Fatalf("large frame mangled (err %v)", err)
 	}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(stream[:len(stream)-1]))); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(stream[:len(stream)-1]))); err == nil {
 		t.Fatal("truncated large frame accepted")
 	}
+}
+
+// sizedFrame is a test frame of exactly size bytes, length prefix included.
+func sizedFrame(t *testing.T, seq, size int) []byte {
+	t.Helper()
+	n := size - len(frame(t, numbered(seq, 0)))
+	for len(frame(t, numbered(seq, n))) > size { // the payload's length prefix grows with it
+		n--
+	}
+	f := frame(t, numbered(seq, n))
+	if len(f) != size {
+		t.Fatalf("no frame of %d bytes", size)
+	}
+	return f
+}
+
+// TestReadFrameInPlace passes one stream through readFrame: frames that fit
+// the reader's buffer are decoded where they lie, and each must still be
+// intact once the reader has moved past it and reused the buffer.
+func TestReadFrameInPlace(t *testing.T) {
+	const size = wire.AliasMin // the reader's buffer
+	frames := [][]byte{
+		frame(t, consensus.CTAckMsg{R: 2}),
+		frame(t, numbered(1, 64)),
+		sizedFrame(t, 2, size),   // the largest frame read in place
+		sizedFrame(t, 3, size+1), // the smallest read into its own buffer
+		frame(t, numbered(4, 16<<10)),
+		frame(t, numbered(5, 64)),
+	}
+	r := bufio.NewReaderSize(bytes.NewReader(bytes.Join(frames, nil)), size)
+	if r.Size() != size {
+		t.Fatalf("reader buffer of %d bytes, want %d", r.Size(), size)
+	}
+	var got []stack.Envelope
+	for range frames {
+		_, env, err := readFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, env)
+	}
+	if _, _, err := readFrame(r); err != io.EOF {
+		t.Fatalf("after the stream: %v, want EOF", err)
+	}
+	for i, env := range got {
+		if again := frame(t, env.Msg); !bytes.Equal(again, frames[i]) {
+			t.Errorf("frame %d (%d bytes) changed after the reader moved on", i, len(frames[i]))
+		}
+	}
+}
+
+// TestInPlaceReadAllocatesNothing: a frame read in place costs what decoding
+// its envelope costs and nothing more; a heartbeat, which decodes to nothing
+// the layers keep, costs nothing at all.
+func TestInPlaceReadAllocatesNothing(t *testing.T) {
+	for _, m := range []stack.Message{fd.HeartbeatMsg{}, consensus.CTAckMsg{R: 2}, numbered(1, 64)} {
+		f := frame(t, m)
+		const runs = 100
+		r := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(f, runs+1)), wire.AliasMin)
+		read := testing.AllocsPerRun(runs, func() {
+			if _, _, err := readFrame(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decode := testing.AllocsPerRun(runs, func() {
+			if _, _, err := wire.DecodeEnvelope(f[4:]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if read != decode {
+			t.Errorf("%T: a frame read allocates %v, its decode %v", m, read, decode)
+		}
+		if _, ok := m.(fd.HeartbeatMsg); ok && read != 0 {
+			t.Errorf("a heartbeat frame read allocates %v", read)
+		}
+	}
+}
+
+// TestFloodOfMixedSizes streams frames on both sides of the in-place bound
+// over a loopback pair: every one arrives whole and in order, though the
+// reader decodes most of them in a buffer it refills under them.
+func TestFloodOfMixedSizes(t *testing.T) {
+	s := newSink(t, "127.0.0.1:0", nil)
+	p := sender(t, s.Addr(), nil)
+	sizes := []int{0, 64, wire.AliasMin - 64, wire.AliasMin, 16 << 10, 1}
+	const frames = 600
+	stream(p, 1, frames, func(seq int) int { return sizes[seq%len(sizes)] })
+	wantInOrder(t, s.wait(t, frames), frames)
 }

@@ -32,9 +32,12 @@
 //
 // Buffer ownership on read. A buffered reader per connection lets one read
 // syscall serve every frame it holds; each is dispatched before the next
-// blocking read. A body is copied into an allocation of its own size, not
-// sliced from a shared slab: decoded payloads alias it for as long as the
-// protocol layers keep them (wire.DecodeEnvelope).
+// blocking read. The reader's buffer is wire.AliasMin bytes, so a frame
+// that fits it carries no payload a decoded value could alias: it is
+// decoded in the buffer and costs no allocation beyond what the protocol
+// layers keep. Only a longer frame is copied into an allocation of its own
+// size, which its payloads of wire.AliasMin bytes or more alias for as long
+// as the layers keep them.
 package tcpnet
 
 import (
@@ -235,15 +238,11 @@ func (p *Peer) readLoop(conn net.Conn) {
 		}
 		conn.Close()
 	}()
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, wire.AliasMin)
 	for {
-		data, err := readFrame(r)
+		from, env, err := readFrame(r)
 		if err != nil {
-			return
-		}
-		from, env, err := wire.DecodeEnvelope(data)
-		if err != nil {
-			return // corrupted stream: drop the connection
+			return // closed, or a corrupted stream: drop the connection
 		}
 		p.proc.Deliver(from, env)
 	}
@@ -394,16 +393,26 @@ func wholeFrames(batch []byte, n int) int {
 	return end
 }
 
-// readFrame reads one length-prefixed frame into a buffer of its own (see
-// the package doc: decoded payloads alias it).
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads and decodes one length-prefixed frame. A frame that fits
+// r's buffer is decoded where it lies (see the package doc); a longer one is
+// read into a buffer of its own, which its decoded payloads may alias.
+func readFrame(r *bufio.Reader) (stack.ProcessID, stack.Envelope, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
-		return nil, err
+		return 0, stack.Envelope{}, err
 	}
 	size := int(binary.BigEndian.Uint32(hdr))
 	if size > maxFrameBytes {
-		return nil, errors.New("tcpnet: oversized frame")
+		return 0, stack.Envelope{}, errors.New("tcpnet: oversized frame")
+	}
+	if 4+size <= r.Size() {
+		frame, err := r.Peek(4 + size)
+		if err != nil {
+			return 0, stack.Envelope{}, err
+		}
+		from, env, err := wire.DecodeEnvelope(frame[4:])
+		_, _ = r.Discard(4 + size) // cannot fail: Peek just buffered the frame
+		return from, env, err
 	}
 	_, _ = r.Discard(4) // cannot fail: Peek just buffered the four bytes
 	var data []byte
@@ -411,8 +420,8 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 		n := min(size-len(data), frameChunk)
 		data = append(data, make([]byte, n)...)
 		if _, err := io.ReadFull(r, data[len(data)-n:]); err != nil {
-			return nil, err
+			return 0, stack.Envelope{}, err
 		}
 	}
-	return data, nil
+	return wire.DecodeEnvelope(data)
 }

@@ -9,7 +9,8 @@
 // remain, so a hostile length prefix can never drive an allocation larger
 // than the input itself. All errors are sticky: after the first failure
 // every subsequent read returns zero values, so per-type decoders can run
-// straight-line and check Err once at the end.
+// straight-line and check Err once at the end. Bytes is the Reader's only
+// aliasing point: a slice it returns aliases the input only from AliasMin up.
 package binary
 
 import (
@@ -66,6 +67,10 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// AliasMin is the shortest byte slice Bytes returns as a window on the
+// input: below it, a copy is cheaper than pinning a possibly far larger buffer.
+const AliasMin = 4 << 10
+
 // Reader consumes a byte slice with sticky-error semantics.
 type Reader struct {
 	b   []byte
@@ -73,9 +78,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader wraps data for decoding. The Reader may return subslices of
-// data (see Bytes); the caller must not reuse the buffer while decoded
-// values are live.
+// NewReader wraps data for decoding. The caller must not reuse a buffer of
+// AliasMin bytes or more while decoded values are live (see Bytes).
 func NewReader(data []byte) *Reader { return &Reader{b: data} }
 
 // Err returns the first error encountered, if any.
@@ -179,9 +183,11 @@ func (r *Reader) Len(elemMin int) int {
 	return int(n)
 }
 
-// Bytes reads a length-prefixed byte slice. The result aliases the input
-// buffer (zero copy); it is nil for a zero length, matching the canonical
-// form of the encoder's nil/empty collapse.
+// Bytes reads a length-prefixed byte slice. A slice shorter than AliasMin
+// is copied into an allocation of exactly its length; a longer one aliases
+// the input buffer, with no spare capacity to grow into the bytes after it.
+// It is nil for a zero length, matching the canonical form of the encoder's
+// nil/empty collapse.
 func (r *Reader) Bytes() []byte {
 	n := r.Len(1)
 	if r.err != nil || n == 0 {
@@ -189,10 +195,13 @@ func (r *Reader) Bytes() []byte {
 	}
 	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
+	if n < AliasMin {
+		return append(make([]byte, 0, n), v...)
+	}
 	return v
 }
 
-// String reads a length-prefixed string (one copy, as Go strings are
+// String reads a length-prefixed string (a copy, as Go strings are
 // immutable).
 func (r *Reader) String() string {
 	return string(r.Bytes())

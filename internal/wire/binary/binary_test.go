@@ -108,17 +108,25 @@ func TestBytesNilEmptyCollapse(t *testing.T) {
 	}
 }
 
+// TestBytesAliasing pins the ownership rule: below AliasMin a slice is a
+// copy, from AliasMin up a window on the input; either way it has no spare
+// capacity to grow into neighboring bytes.
 func TestBytesAliasing(t *testing.T) {
-	src := AppendBytes(nil, []byte("abc"))
-	r := NewReader(src)
-	got := r.Bytes()
-	if string(got) != "abc" {
-		t.Fatalf("got %q", got)
-	}
-	// The subslice aliases the input and has no spare capacity to grow
-	// into neighboring bytes.
-	if cap(got) != len(got) {
-		t.Fatalf("decoded slice leaks capacity: len %d cap %d", len(got), cap(got))
+	for _, n := range []int{1, 3, AliasMin - 1, AliasMin, AliasMin + 1, 4 * AliasMin} {
+		want := bytes.Repeat([]byte{'x'}, n)
+		src := append(AppendBytes(nil, want), "next"...)
+		r := NewReader(src)
+		got := r.Bytes()
+		if !bytes.Equal(got, want) || r.Err() != nil {
+			t.Fatalf("n=%d: got %d bytes, err %v", n, len(got), r.Err())
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("n=%d: decoded slice leaks capacity: len %d cap %d", n, len(got), cap(got))
+		}
+		aliases := &got[0] == &src[len(src)-len("next")-n]
+		if aliases != (n >= AliasMin) {
+			t.Fatalf("n=%d: aliases the input: %v, want %v", n, aliases, n >= AliasMin)
+		}
 	}
 }
 

@@ -428,8 +428,8 @@ func decodeConfig(r *bin.Reader) *msg.ConfigChange {
 	return &c
 }
 
-// decodeApp reads one application message. The payload aliases the frame
-// buffer (zero copy); DecodeEnvelope documents the ownership rule.
+// decodeApp reads one application message. A payload of AliasMin bytes or
+// more aliases the frame buffer; DecodeEnvelope documents the rule.
 func decodeApp(r *bin.Reader) *msg.App {
 	var a msg.App
 	a.ID = decodeID(r)

@@ -74,12 +74,19 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode %T: %v", env.Msg, err)
 		}
-		gotFrom, got, err := DecodeEnvelope(data)
+		// Every generated payload is shorter than AliasMin, so the decoded
+		// value must not see the buffer it came from being overwritten.
+		buf := append([]byte(nil), data...)
+		gotFrom, got, err := DecodeEnvelope(buf)
 		if err != nil {
 			t.Fatalf("decode %T: %v", env.Msg, err)
 		}
+		scribble(buf)
 		if gotFrom != sender || !reflect.DeepEqual(got, env) {
 			t.Fatalf("round-trip mismatch for %T:\n got:  %#v\n want: %#v", env.Msg, got, env)
+		}
+		if again, err := EncodeEnvelope(gotFrom, got); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%T re-encodes to other bytes (err %v)", env.Msg, err)
 		}
 		// The append form, into a buffer already holding other frames,
 		// adds exactly those bytes.

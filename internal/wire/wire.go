@@ -18,6 +18,12 @@
 // bounds-checked, collection lengths are validated against the bytes
 // actually present before allocating, nesting depth is capped, and a
 // malformed frame yields an error — never a panic.
+//
+// Buffer ownership. A decoded value references its input only through a
+// payload of AliasMin bytes or more, which it keeps as a window on the
+// input; every shorter payload is copied. So a frame shorter than AliasMin
+// can be decoded in a buffer that is reused right after, and a 64 B payload
+// never pins the megabyte SupplyMsg it arrived in.
 package wire
 
 import (
@@ -53,9 +59,13 @@ func AppendEnvelope(dst []byte, from stack.ProcessID, env stack.Envelope) ([]byt
 	return dst, nil
 }
 
-// DecodeEnvelope is the inverse of EncodeEnvelope. Decoded messages may
-// alias data (payload byte slices are not copied); the caller hands over
-// ownership of the buffer, as the transport does for each received frame.
+// AliasMin is the shortest payload a decoded message keeps as a window on
+// its input rather than a copy; a transport sizes its read buffer from it.
+const AliasMin = bin.AliasMin
+
+// DecodeEnvelope is the inverse of EncodeEnvelope. A payload shorter than
+// AliasMin is copied; a longer one aliases data, whose ownership the caller
+// then hands over. A buffer shorter than AliasMin is free once it returns.
 func DecodeEnvelope(data []byte) (stack.ProcessID, stack.Envelope, error) {
 	r := bin.NewReader(data)
 	if v := r.Byte(); r.Err() == nil && v != Version {

@@ -81,6 +81,34 @@ func TestAppendEnvelopeMatchesEncode(t *testing.T) {
 	}
 }
 
+// scribble overwrites a decoded buffer, as a transport reusing it would.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = ^b[i]
+	}
+}
+
+// TestDecodedValueOwnsItsBytes: every sample frame is shorter than AliasMin,
+// so its decoded envelope keeps nothing of the input — overwriting the input
+// leaves it re-encoding to the original bytes.
+func TestDecodedValueOwnsItsBytes(t *testing.T) {
+	for _, env := range caseEnvelopes() {
+		want, err := EncodeEnvelope(3, env)
+		if err != nil {
+			t.Fatalf("encode %T: %v", env.Msg, err)
+		}
+		data := append([]byte(nil), want...)
+		from, got, err := DecodeEnvelope(data)
+		if err != nil {
+			t.Fatalf("decode %T: %v", env.Msg, err)
+		}
+		scribble(data)
+		if again, err := EncodeEnvelope(from, got); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("%T changed with the buffer it was decoded from (err %v)", env.Msg, err)
+		}
+	}
+}
+
 func TestMsgSetValueSurvivesWire(t *testing.T) {
 	app := &msg.App{ID: msg.ID{Sender: 3, Seq: 8}, Payload: []byte("abcdef")}
 	env := stack.Envelope{
