@@ -5,15 +5,51 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"abcast/internal/check"
+	"abcast/internal/msg"
 	"abcast/internal/netmodel"
+	"abcast/internal/stack"
 )
 
 func stacks() []Stack {
 	return []Stack{IndirectCT, IndirectMR, ConsensusOnMessages, ConsensusWithURB}
+}
+
+// checkHistory hands per-process delivery sequences (index 0 unused) to the
+// history oracle, one incarnation each: every process must have delivered
+// every message in sent, and nothing else, once each and in one order.
+func checkHistory(t *testing.T, seqs [][]Delivery, sent []msg.ID) {
+	t.Helper()
+	h := check.History{Logs: make([][][]msg.ID, len(seqs)), Broadcast: sent}
+	var all []stack.ProcessID
+	for p := 1; p < len(seqs); p++ {
+		log := make([]msg.ID, len(seqs[p]))
+		for i, d := range seqs[p] {
+			log[i] = msg.ID{Sender: stack.ProcessID(d.Sender), Seq: d.Seq}
+		}
+		h.Logs[p] = [][]msg.ID{log}
+		all = append(all, stack.ProcessID(p))
+	}
+	if err := check.Complete(h, all); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sentBy lists the identifiers of broadcasts from..to of each sender: a
+// Cluster numbers each process's broadcasts 1, 2, ...
+func sentBy(from, to int, senders ...int) []msg.ID {
+	var ids []msg.ID
+	for _, p := range senders {
+		for seq := from; seq <= to; seq++ {
+			ids = append(ids, msg.ID{Sender: stack.ProcessID(p), Seq: uint64(seq)})
+		}
+	}
+	return ids
 }
 
 // collect drains exactly count deliveries from process p.
@@ -57,15 +93,7 @@ func TestClusterTotalOrderLive(t *testing.T) {
 					for p := 1; p <= 3; p++ {
 						seqs[p] = collect(t, c, p, total)
 					}
-					for p := 2; p <= 3; p++ {
-						for i := range seqs[1] {
-							a, b := seqs[1][i], seqs[p][i]
-							if a.Sender != b.Sender || a.Seq != b.Seq {
-								t.Fatalf("order diverges at %d: p1=%v:%d p%d=%v:%d",
-									i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-							}
-						}
-					}
+					checkHistory(t, seqs, sentBy(1, perProc, 1, 2, 3))
 				})
 			}
 		})
@@ -456,15 +484,7 @@ func TestClusterPipelinedTotalOrder(t *testing.T) {
 	for p := 1; p <= 3; p++ {
 		seqs[p] = collect(t, c, p, total)
 	}
-	for p := 2; p <= 3; p++ {
-		for i := range seqs[1] {
-			a, b := seqs[1][i], seqs[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("pipelined order diverges at %d: p1=%v:%d p%d=%v:%d",
-					i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-			}
-		}
-	}
+	checkHistory(t, seqs, sentBy(1, perProc, 1, 2, 3))
 }
 
 // TestClusterAdaptiveTotalOrder: the adaptive control plane on the live
@@ -494,15 +514,7 @@ func TestClusterAdaptiveTotalOrder(t *testing.T) {
 	for p := 1; p <= 3; p++ {
 		seqs[p] = collect(t, c, p, total)
 	}
-	for p := 2; p <= 3; p++ {
-		for i := range seqs[1] {
-			a, b := seqs[1][i], seqs[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("adaptive order diverges at %d: p1=%v:%d p%d=%v:%d",
-					i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-			}
-		}
-	}
+	checkHistory(t, seqs, sentBy(1, perProc, 1, 2, 3))
 	st, ok := c.Stats(1, 5*time.Second)
 	if !ok {
 		t.Fatal("stats unavailable")
@@ -544,6 +556,7 @@ func TestClusterWANTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	minCrossing := topo.SiteLink[0][1].Latency // the fastest inter-site link
+	orders := make([][]Delivery, 4)
 	for p := 1; p <= 3; p++ {
 		d, ok := c.Next(p, 30*time.Second)
 		if !ok {
@@ -552,6 +565,7 @@ func TestClusterWANTopology(t *testing.T) {
 		if d.Sender != 1 || string(d.Payload) != "geo" {
 			t.Fatalf("p%d delivered %+v", p, d)
 		}
+		orders[p] = []Delivery{d}
 	}
 	if elapsed := time.Since(start); elapsed < minCrossing {
 		t.Fatalf("WAN delivery completed in %v, below one inter-site crossing %v: topology latencies not applied",
@@ -563,19 +577,10 @@ func TestClusterWANTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	orders := make([][]Delivery, 4)
 	for p := 1; p <= 3; p++ {
-		orders[p] = collect(t, c, p, 3)
+		orders[p] = append(orders[p], collect(t, c, p, 3)...)
 	}
-	for p := 2; p <= 3; p++ {
-		for i := range orders[1] {
-			a, b := orders[1][i], orders[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("total order violated across WAN sites: p1[%d]=%+v p%d[%d]=%+v",
-					i, a, p, i, b)
-			}
-		}
-	}
+	checkHistory(t, orders, append(sentBy(1, 2, 1), sentBy(1, 1, 2, 3)...))
 }
 
 // collectDistinct drains deliveries from p until count messages not yet in
@@ -667,15 +672,7 @@ func testClusterRestart(t *testing.T, po *PersistOptions) {
 	// Appended to its pre-crash prefix, its sequence is the same 14-message
 	// total order as everyone else's.
 	seqs[3] = append(seqs[3], collectDistinct(t, c, 3, 5, seen[3])...)
-	for p := 2; p <= 3; p++ {
-		for i := range seqs[1] {
-			a, b := seqs[1][i], seqs[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("order diverges at %d: p1=%d:%d p%d=%d:%d",
-					i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-			}
-		}
-	}
+	checkHistory(t, seqs, slices.Concat(sentBy(1, 3, 1, 2, 3), sentBy(4, 5, 1, 2), sentBy(4, 4, 3)))
 	last := seqs[1][len(seqs[1])-1]
 	if last.Sender != 3 || last.Seq != 4 || string(last.Payload) != "fresh" {
 		t.Fatalf("post-restart broadcast = %d:%d %q, want 3:4 \"fresh\" (sequence aliased?)",
@@ -845,9 +842,10 @@ func TestClusterDynamicMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq1 := collect(t, c, 1, pre)
-	collect(t, c, 2, pre)
-	collect(t, c, 3, pre)
+	seqs := make([][]Delivery, 5)
+	for p := 1; p <= 3; p++ {
+		seqs[p] = collect(t, c, p, pre)
+	}
 
 	if err := c.Join(4); err != nil {
 		t.Fatalf("Join: %v", err)
@@ -860,18 +858,14 @@ func TestClusterDynamicMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq1 = append(seq1, collect(t, c, 1, post)...)
-	collect(t, c, 2, post)
-	collect(t, c, 3, post)
-	// The joiner reconstructs the entire history: pre-join traffic it never
-	// saw diffused plus the post-join tail, in the members' order.
-	seq4 := collect(t, c, 4, pre+post)
-	for i := range seq1 {
-		if seq1[i].Sender != seq4[i].Sender || seq1[i].Seq != seq4[i].Seq {
-			t.Fatalf("joiner order diverges at %d: p1=%d:%d p4=%d:%d",
-				i, seq1[i].Sender, seq1[i].Seq, seq4[i].Sender, seq4[i].Seq)
-		}
+	for p := 1; p <= 3; p++ {
+		seqs[p] = append(seqs[p], collect(t, c, p, post)...)
 	}
+	// The joiner reconstructs the entire history: pre-join traffic it never
+	// saw diffused plus the post-join tail, in the members' order. p1
+	// sponsored the join, so its change took p1's fifth sequence number.
+	seqs[4] = collect(t, c, 4, pre+post)
+	checkHistory(t, seqs, append(sentBy(1, pre, 1), sentBy(1, post, 3)...))
 
 	if err := c.Leave(2); err != nil {
 		t.Fatalf("Leave: %v", err)

@@ -41,8 +41,9 @@ import (
 )
 
 // Value is a consensus proposal/decision. Key must be a canonical encoding:
-// two Values are the same value iff their Keys are equal (used by MR's
-// Phase 2, which compares estimates).
+// two Values are the same value iff their Keys are equal. It is the identity
+// the history oracle (internal/check) compares when it checks that every
+// process decided one value per instance.
 type Value interface {
 	stack.Message
 	Key() string

@@ -13,7 +13,6 @@ import (
 
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
@@ -54,18 +53,15 @@ func TestAdaptivePartitionKeepsContract(t *testing.T) {
 					if m.rec {
 						extra = append(extra, func(cfg *Config) { cfg.Recover = &RecoverConfig{} })
 					}
-					c, sent, _, atCut, atHeal := partitionRun(t, seed, 2, m.mode, false, extra...)
-					all := procs(1, 2, 3, 4, 5)
-					c.checkTotalOrder(t, all)
-					c.checkIntegrity(t, all)
-					c.checkDelivers(t, all, sent)
+					g, atCut, atHeal := partitionRun(t, seed, 2, m.mode, false, extra...)
+					g.complete(procs(1, 2, 3, 4, 5))
 					if atHeal <= atCut {
 						t.Fatalf("majority made no progress during the partition: %d -> %d deliveries",
 							atCut, atHeal)
 					}
 					retargets, maxW := 0, 0
 					for p := 1; p <= 5; p++ {
-						st := c.engines[p].Stats()
+						st := g.engines[p].Stats()
 						retargets += st.Retargets
 						if st.MaxInFlight > maxW {
 							maxW = st.MaxInFlight
@@ -92,28 +88,23 @@ func TestAdaptivePartitionKeepsContract(t *testing.T) {
 func TestRetargetShrinkLosesNothing(t *testing.T) {
 	params := netmodel.Setup2()
 	params.Latency = time.Millisecond // idle wire time, so W=4 pipelines for real
-	c := newCluster(t, 3, VariantIndirectCT, rbcast.KindEager, params, 11, pipelined(4, 2))
-	var sent []msg.ID
+	g := newGroup(t, 3, VariantIndirectCT, params, 11, pipelined(4, 2))
 	for i := 1; i <= 3; i++ {
 		p := stack.ProcessID(i)
 		for s := 0; s < 30; s++ {
-			c.abcast(p, time.Duration(2+s*2)*time.Millisecond, fmt.Sprintf("m-%d-%d", i, s))
-			sent = append(sent, msg.ID{Sender: p, Seq: uint64(s + 1)})
+			g.Broadcast(p, time.Duration(2+s*2)*time.Millisecond, fmt.Sprintf("m-%d-%d", i, s))
 		}
 	}
 	// Mid-burst, with the pipeline provably full, drop every engine to the
 	// serial window.
 	for i := 1; i <= 3; i++ {
 		p := stack.ProcessID(i)
-		c.w.After(p, 30*time.Millisecond, func() { c.engines[p].Retarget(1, 2) })
+		g.w.After(p, 30*time.Millisecond, func() { g.engines[p].Retarget(1, 2) })
 	}
-	c.w.RunFor(20 * time.Second)
-	all := procs(1, 2, 3)
-	c.checkTotalOrder(t, all)
-	c.checkIntegrity(t, all)
-	c.checkDelivers(t, all, sent)
+	g.Run(20 * time.Second)
+	g.complete(procs(1, 2, 3))
 	for i := 1; i <= 3; i++ {
-		st := c.engines[i].Stats()
+		st := g.engines[i].Stats()
 		if st.MaxInFlight < 2 {
 			t.Fatalf("p%d never pipelined (max in-flight %d); the shrink shrank nothing", i, st.MaxInFlight)
 		}
@@ -153,23 +144,18 @@ func TestAdaptiveFailedConstructionArmsNoTimer(t *testing.T) {
 func TestAdaptiveGrowsAndDecays(t *testing.T) {
 	params := netmodel.Setup2()
 	params.Latency = time.Millisecond
-	c := newCluster(t, 3, VariantIndirectCT, rbcast.KindEager, params, 5, adaptive())
-	var sent []msg.ID
+	g := newGroup(t, 3, VariantIndirectCT, params, 5, adaptive())
 	for i := 1; i <= 3; i++ {
 		p := stack.ProcessID(i)
 		for s := 0; s < 80; s++ {
-			c.abcast(p, time.Duration(1+s)*time.Millisecond, fmt.Sprintf("b-%d-%d", i, s))
-			sent = append(sent, msg.ID{Sender: p, Seq: uint64(s + 1)})
+			g.Broadcast(p, time.Duration(1+s)*time.Millisecond, fmt.Sprintf("b-%d-%d", i, s))
 		}
 	}
-	c.w.RunFor(30 * time.Second)
-	all := procs(1, 2, 3)
-	c.checkTotalOrder(t, all)
-	c.checkIntegrity(t, all)
-	c.checkDelivers(t, all, sent)
+	g.Run(30 * time.Second)
+	g.complete(procs(1, 2, 3))
 	grew := false
 	for i := 1; i <= 3; i++ {
-		st := c.engines[i].Stats()
+		st := g.engines[i].Stats()
 		if st.MaxInFlight >= 2 {
 			grew = true
 		}

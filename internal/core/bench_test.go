@@ -16,21 +16,22 @@ import (
 // rotating senders and reports the cost per message delivered in total
 // order at all three processes.
 func BenchmarkEngineOrderedDelivery(b *testing.B) {
-	c := newClusterQuick(3, VariantIndirectCT, netmodel.Setup1(), 11)
+	g := newGroup(b, 3, VariantIndirectCT, netmodel.Setup1(), 11, freeRcv)
 	const gap = 2 * time.Millisecond
 	payload := make([]byte, 256)
 	for i := 0; i < b.N; i++ {
 		p := stack.ProcessID(i%3 + 1)
 		at := time.Duration(i) * gap
-		c.w.After(p, at, func() { c.engines[p].ABroadcast(payload) })
+		g.w.After(p, at, func() { g.abcast(p, payload) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	c.w.RunFor(time.Duration(b.N)*gap + 5*time.Second)
+	g.w.RunFor(time.Duration(b.N)*gap + 5*time.Second)
 	b.StopTimer()
-	for p := 1; p <= 3; p++ {
-		if got := len(c.delivered[p]); got != b.N {
+	for p := stack.ProcessID(1); p <= 3; p++ {
+		if got := len(g.delivered(p)); got != b.N {
 			b.Fatalf("p%d delivered %d/%d", p, got, b.N)
 		}
 	}
+	g.complete(procs(1, 2, 3))
 }

@@ -7,53 +7,47 @@ package core
 // straggler is a duplicate and the rcv predicate still answers true.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
 )
 
 // quiesce runs a burst of perProc broadcasts from each of n senders to
-// quiescence under checkTable and verifies the run itself: every process
-// delivered every message, in one order.
-func quiesce(t *testing.T, c *cluster, n, perProc int) []msg.ID {
+// quiescence and verifies the run itself: every process delivered every
+// message, in one order.
+func quiesce(t *testing.T, g *group, n, perProc int) []msg.ID {
 	t.Helper()
-	want := burst(c, n, perProc, time.Millisecond)
-	runChecked(t, c.w, c.engines, time.Duration(perProc)*time.Millisecond+10*time.Second)
+	want := burst(g, n, perProc, time.Millisecond)
+	g.Run(time.Duration(perProc)*time.Millisecond + 10*time.Second)
 	all := make([]stack.ProcessID, n)
 	for i := range all {
 		all[i] = stack.ProcessID(i + 1)
 	}
-	c.checkDelivers(t, all, want)
-	c.checkIntegrity(t, all)
-	for _, p := range all[1:] {
-		if !reflect.DeepEqual(c.delivered[p], c.delivered[1]) {
-			t.Fatalf("p%d and p1 delivered different sequences", p)
-		}
-	}
+	g.complete(all)
 	return want
 }
 
 // fetchFrom has p2 ask p1 for id over the recovery fetch protocol and returns
 // the payloads p1 supplied. The tap replaces p2's own ProtoSync handler, so
 // call it last.
-func fetchFrom(c *cluster, id msg.ID) []*msg.App {
+func fetchFrom(g *group, id msg.ID) []*msg.App {
 	var supplied []*msg.App
-	c.w.Node(2).Register(stack.ProtoSync, stack.HandlerFunc(func(_ stack.ProcessID, _ uint64, m stack.Message) {
+	g.w.Node(2).Register(stack.ProtoSync, stack.HandlerFunc(func(_ stack.ProcessID, _ uint64, m stack.Message) {
 		if s, ok := m.(SupplyMsg); ok {
 			supplied = append(supplied, s.Apps...)
 		}
 	}))
-	c.w.After(2, 0, func() {
-		c.w.Node(2).Proto(stack.ProtoSync).Send(1, 0, FetchMsg{IDs: []msg.ID{id}})
+	g.w.After(2, 0, func() {
+		g.w.Node(2).Proto(stack.ProtoSync).Send(1, 0, FetchMsg{IDs: []msg.ID{id}})
 	})
-	c.w.RunFor(time.Second)
+	g.Run(time.Second)
 	return supplied
 }
 
@@ -62,10 +56,10 @@ func fetchFrom(c *cluster, id msg.ID) []*msg.App {
 // identifiers are still known as received.
 func TestDeliveryForgetsWithoutRepairPlane(t *testing.T) {
 	const n, perProc = 3, 1000
-	c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 61)
-	want := quiesce(t, c, n, perProc)
+	g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 61)
+	want := quiesce(t, g, n, perProc)
 	for p := 1; p <= n; p++ {
-		e := c.engines[p]
+		e := g.engines[p]
 		if st := e.Stats(); len(e.msgs.entries) != 0 || st.Received != 0 || st.Delivered != len(want) {
 			t.Fatalf("p%d: %d records and %d payloads held after delivering %d of %d",
 				p, len(e.msgs.entries), st.Received, st.Delivered, len(want))
@@ -77,7 +71,7 @@ func TestDeliveryForgetsWithoutRepairPlane(t *testing.T) {
 		}
 	}
 	// Nobody can ask: the fetch protocol has no handler here.
-	if got := fetchFrom(c, want[0]); len(got) != 0 {
+	if got := fetchFrom(g, want[0]); len(got) != 0 {
 		t.Fatalf("a default-configuration engine answered a fetch: %v", got)
 	}
 }
@@ -86,17 +80,17 @@ func TestDeliveryForgetsWithoutRepairPlane(t *testing.T) {
 // every payload is still held, and a fetch for the oldest one is served.
 func TestRecoverRetainsDeliveredPayloads(t *testing.T) {
 	const n, perProc = 3, 1000
-	c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 61, withRecovery(false))
-	want := quiesce(t, c, n, perProc)
+	g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 61, withRecovery(false))
+	want := quiesce(t, g, n, perProc)
 	for p := 1; p <= n; p++ {
-		e := c.engines[p]
+		e := g.engines[p]
 		if st := e.Stats(); len(e.msgs.entries) != len(want) || st.Received != len(want) {
 			t.Fatalf("p%d: %d records, %d payloads held of %d delivered", p, len(e.msgs.entries), st.Received, len(want))
 		}
 	}
-	first := c.delivered[1][0]
-	got := fetchFrom(c, first)
-	if len(got) != 1 || got[0].ID != first || string(got[0].Payload) != c.payloads[1][first] {
+	first := g.delivered(1)[0]
+	got := fetchFrom(g, first)
+	if len(got) != 1 || got[0].ID != first || !bytes.Equal(got[0].Payload, g.payloads[first]) {
 		t.Fatalf("fetch of %v supplied %v", first, got)
 	}
 }
@@ -106,14 +100,14 @@ func TestRecoverRetainsDeliveredPayloads(t *testing.T) {
 // and forgotten — nothing is redelivered and nothing re-accumulates.
 func TestStragglersOfForgottenMessages(t *testing.T) {
 	const n, perProc = 3, 40
-	c := newCluster(t, n, VariantConsensusMsgs, rbcast.KindEager, netmodel.Setup1(), 67)
-	want := quiesce(t, c, n, perProc)
-	e := c.engines[2]
+	g := newGroup(t, n, VariantConsensusMsgs, netmodel.Setup1(), 67)
+	want := quiesce(t, g, n, perProc)
+	e := g.engines[2]
 	old := &msg.App{ID: want[0], Payload: []byte("again")}
-	c.w.After(2, 0, func() { e.onRDeliver(old) })
-	c.w.After(2, time.Millisecond, func() { e.onDecide(e.kNext, NewMsgSetValue([]*msg.App{old})) })
-	runChecked(t, c.w, c.engines, time.Second)
-	if got := len(c.delivered[2]); got != len(want) {
+	g.w.After(2, 0, func() { e.onRDeliver(old) })
+	g.w.After(2, time.Millisecond, func() { e.onDecide(e.kNext, NewMsgSetValue([]*msg.App{old})) })
+	g.Run(time.Second)
+	if got := len(g.delivered(2)); got != len(want) {
 		t.Fatalf("p2 delivered %d messages, want %d: a straggler was redelivered", got, len(want))
 	}
 	if st := e.Stats(); len(e.msgs.entries) != 0 || st.Received != 0 || st.OrderedQ != 0 || st.Unordered != 0 {
@@ -136,18 +130,18 @@ func TestRcvHoldsForForgottenIdentifier(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, perProc = 3, 20
-			c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 71, tc.mutate...)
-			want := quiesce(t, c, n, perProc)
-			e := c.engines[3]
+			g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 71, tc.mutate...)
+			want := quiesce(t, g, n, perProc)
+			e := g.engines[3]
 			var delivered, unseen bool
-			c.w.After(3, 0, func() {
+			g.w.After(3, 0, func() {
 				delivered = e.rcv(IDSetValue{Set: msg.NewIDSet(want[0], want[len(want)-1])})
 				if !e.msgs.wanted.Empty() {
 					t.Errorf("a delivered identifier entered wanted: %v", e.msgs.wanted.RawIDs())
 				}
 				unseen = e.rcv(IDSetValue{Set: msg.NewIDSet(want[0], msg.ID{Sender: 1, Seq: perProc + 1})})
 			})
-			c.w.RunFor(time.Millisecond)
+			g.Run(time.Millisecond)
 			if !delivered || unseen {
 				t.Fatalf("rcv(delivered ids) = %v, rcv(with an unseen id) = %v; want true, false", delivered, unseen)
 			}
@@ -166,18 +160,18 @@ func TestRcvHoldsForForgottenIdentifier(t *testing.T) {
 func TestClaimOutlivesDelivery(t *testing.T) {
 	const n, perProc = 3, 200
 	var (
-		c        *cluster
+		g        *group
 		next     int
 		survived int
 	)
-	c = newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 73, pipelined(4, 8),
+	g = newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 73, pipelined(4, 8),
 		func(cfg *Config) {
-			next++ // newCluster configures p1..pn in order
+			next++ // newGroup configures p1..pn in order
 			p, deliver := next, cfg.Deliver
 			cfg.Deliver = func(app *msg.App) {
 				// The upcall runs right after deliverNext: only a claim can
 				// have kept a record.
-				if en, ok := c.engines[p].msgs.entries[app.ID]; ok {
+				if en, ok := g.engines[p].msgs.entries[app.ID]; ok {
 					if !en.claimed || en.app != nil || en.phase != phaseDelivered {
 						t.Errorf("p%d: %v kept record %+v past delivery", p, app.ID, en)
 					}
@@ -186,12 +180,12 @@ func TestClaimOutlivesDelivery(t *testing.T) {
 				deliver(app)
 			}
 		})
-	quiesce(t, c, n, perProc)
+	quiesce(t, g, n, perProc)
 	if survived == 0 {
 		t.Fatal("no claimed record was ever delivered: the scenario did not occur")
 	}
 	for p := 1; p <= n; p++ {
-		if tb := &c.engines[p].msgs; len(tb.entries) != 0 || tb.claimed != 0 || tb.held != 0 {
+		if tb := &g.engines[p].msgs; len(tb.entries) != 0 || tb.claimed != 0 || tb.held != 0 {
 			t.Fatalf("p%d: %d records, claimed=%d, held=%d after every instance settled", p, len(tb.entries), tb.claimed, tb.held)
 		}
 	}

@@ -13,95 +13,83 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"abcast/internal/consensus"
-	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
 
-// nolossHarness runs a cluster with decision instrumentation.
-type nolossHarness struct {
-	w       *simnet.World
-	engines []*Engine
-	// willCrash marks processes that crash at some point in the run; a
-	// "correct" process in the paper's sense is one that never crashes.
-	willCrash map[stack.ProcessID]bool
-	// violations collects decisions that were not held by any correct
-	// process / by f+1 processes at decision time.
-	nolossViolations  []string
-	stabilityShortage []string
-	f                 int // stability threshold f (tolerated failures)
+// lossWatch is what watchLoss saw at the decision instants of a run.
+type lossWatch struct {
+	lost     []string // decisions no process outside crashed held: No loss violated
+	unstable []string // decisions held by fewer than f+1 processes
 }
 
-func newNolossHarness(t *testing.T, n int, variant Variant, seed int64, willCrash map[stack.ProcessID]bool, f int, mutate ...func(*Config)) *nolossHarness {
-	t.Helper()
-	h := &nolossHarness{
-		w:         simnet.NewWorld(n, netmodel.Setup1(), seed),
-		engines:   make([]*Engine, n+1),
-		willCrash: willCrash,
-		f:         f,
-	}
-	for i := 1; i <= n; i++ {
-		node := h.w.Node(stack.ProcessID(i))
-		cfg := Config{
-			Variant: variant,
-			RB:      rbcast.KindEager,
-			Deliver: func(*msg.App) {},
-			OnDecision: func(k uint64, v consensus.Value) {
-				h.checkDecision(k, v)
-			},
-		}
-		for _, m := range mutate {
-			m(&cfg)
-		}
-		eng, err := New(node, cfg)
-		if err != nil {
-			t.Fatalf("New(p%d): %v", i, err)
-		}
-		h.engines[i] = eng
-	}
-	return h
-}
-
-// checkDecision evaluates the invariant at a decision instant. It runs
+// watchLoss evaluates the invariant at every decision instant of g's run:
+// msgs(v) must be held by a process outside crashed — a correct process,
+// one that never crashes in the run — and by at least f+1 processes. It runs
 // inside the (single-threaded) simulation, so cross-engine reads observe
 // exactly the decision-time state.
-func (h *nolossHarness) checkDecision(k uint64, v consensus.Value) {
-	ids := idsOfValue(v)
-	if _, isMsgs := v.(MsgSetValue); isMsgs || len(ids) == 0 {
-		// Consensus on messages carries the payloads in the decision:
-		// No loss is trivial. Empty decisions have nothing to lose.
-		return
-	}
-	holders, correctHolders := 0, 0
-	for q := 1; q < len(h.engines); q++ {
-		all := true
-		for _, id := range ids {
-			if !h.engines[q].HasReceived(id) {
-				all = false
-				break
+func watchLoss(g *group, f int, crashed ...stack.ProcessID) *lossWatch {
+	lw := new(lossWatch)
+	g.onDecision = func(k uint64, v consensus.Value) {
+		ids := idsOfValue(v)
+		if _, isMsgs := v.(MsgSetValue); isMsgs || len(ids) == 0 {
+			// Consensus on messages carries the payloads in the decision:
+			// No loss is trivial. Empty decisions have nothing to lose.
+			return
+		}
+		holders, correctHolders := 0, 0
+		for q := 1; q < len(g.engines); q++ {
+			all := true
+			for _, id := range ids {
+				if !g.engines[q].HasReceived(id) {
+					all = false
+					break
+				}
+			}
+			if all {
+				holders++
+				if !slices.Contains(crashed, stack.ProcessID(q)) {
+					correctHolders++
+				}
 			}
 		}
-		if all {
-			holders++
-			if !h.willCrash[stack.ProcessID(q)] {
-				correctHolders++
-			}
+		if correctHolders == 0 {
+			lw.lost = append(lw.lost, fmt.Sprintf("k=%d ids=%v no correct holder", k, ids))
+		}
+		if holders < f+1 {
+			lw.unstable = append(lw.unstable, fmt.Sprintf("k=%d ids=%v holders=%d < f+1=%d", k, ids, holders, f+1))
 		}
 	}
-	if correctHolders == 0 {
-		h.nolossViolations = append(h.nolossViolations,
-			fmt.Sprintf("k=%d ids=%v no correct holder", k, ids))
+	return lw
+}
+
+// check fails the test if the run violated No loss or v-stability.
+func (lw *lossWatch) check(t *testing.T) {
+	t.Helper()
+	if len(lw.lost) > 0 {
+		t.Fatalf("No loss violated: %v", lw.lost)
 	}
-	if holders < h.f+1 {
-		h.stabilityShortage = append(h.stabilityShortage,
-			fmt.Sprintf("k=%d ids=%v holders=%d < f+1=%d", k, ids, holders, h.f+1))
+	if len(lw.unstable) > 0 {
+		t.Fatalf("v-stability shortage: %v", lw.unstable)
 	}
+}
+
+// requireNoLoss reports, when the test ends, every decision of g's run whose
+// messages no process held at the decision instant. Nobody crashes in the
+// runs that use it, so every process counts as correct.
+func requireNoLoss(t *testing.T, g *group) {
+	lw := watchLoss(g, 0)
+	t.Cleanup(func() {
+		if len(lw.lost) > 0 {
+			t.Errorf("No loss violated: %v", lw.lost)
+		}
+	})
 }
 
 // TestNoLossInvariantHolds runs the correct id-based stacks under load with
@@ -121,25 +109,19 @@ func TestNoLossInvariantHolds(t *testing.T) {
 			name := fmt.Sprintf("%v/n=%d/seed=%d", c.variant, c.n, seed)
 			t.Run(name, func(t *testing.T) {
 				crashed := stack.ProcessID(c.n) // the last process crashes mid-run
-				h := newNolossHarness(t, c.n, c.variant, seed,
-					map[stack.ProcessID]bool{crashed: true}, c.f)
+				g := newGroup(t, c.n, c.variant, netmodel.Setup1(), seed, freeRcv)
+				lw := watchLoss(g, c.f, crashed)
 				for i := 1; i <= c.n; i++ {
 					p := stack.ProcessID(i)
 					for s := 0; s < 6; s++ {
-						at := time.Duration((int(seed)*13+i*7+s*31)%150) * time.Millisecond
-						h.w.After(p, at, func() { h.engines[p].ABroadcast([]byte("x")) })
+						g.Broadcast(p, time.Duration((int(seed)*13+i*7+s*31)%150)*time.Millisecond, "x")
 					}
 				}
-				h.w.After(1, time.Duration(40+seed*17)*time.Millisecond, func() {
-					h.w.Crash(crashed, simnet.DropInFlight)
+				g.w.After(1, time.Duration(40+seed*17)*time.Millisecond, func() {
+					g.w.Crash(crashed, simnet.DropInFlight)
 				})
-				h.w.RunFor(20 * time.Second)
-				if len(h.nolossViolations) > 0 {
-					t.Fatalf("No loss violated: %v", h.nolossViolations)
-				}
-				if len(h.stabilityShortage) > 0 {
-					t.Fatalf("v-stability shortage: %v", h.stabilityShortage)
-				}
+				g.Run(20 * time.Second)
+				lw.check(t)
 			})
 		}
 	}
@@ -165,29 +147,20 @@ func TestNoLossInvariantHoldsPipelined(t *testing.T) {
 			name := fmt.Sprintf("%v/n=%d/W=%d/seed=%d", c.variant, c.n, c.w, seed)
 			t.Run(name, func(t *testing.T) {
 				crashed := stack.ProcessID(c.n)
-				h := newNolossHarness(t, c.n, c.variant, seed,
-					map[stack.ProcessID]bool{crashed: true}, c.f,
-					func(cfg *Config) {
-						cfg.Pipeline = c.w
-						cfg.MaxBatch = 2 // keep several instances in flight
-					})
+				// MaxBatch 2 keeps several instances in flight.
+				g := newGroup(t, c.n, c.variant, netmodel.Setup1(), seed, freeRcv, pipelined(c.w, 2))
+				lw := watchLoss(g, c.f, crashed)
 				for i := 1; i <= c.n; i++ {
 					p := stack.ProcessID(i)
 					for s := 0; s < 8; s++ {
-						at := time.Duration((int(seed)*13+i*7+s*23)%150) * time.Millisecond
-						h.w.After(p, at, func() { h.engines[p].ABroadcast([]byte("x")) })
+						g.Broadcast(p, time.Duration((int(seed)*13+i*7+s*23)%150)*time.Millisecond, "x")
 					}
 				}
-				h.w.After(1, time.Duration(40+seed*17)*time.Millisecond, func() {
-					h.w.Crash(crashed, simnet.DropInFlight)
+				g.w.After(1, time.Duration(40+seed*17)*time.Millisecond, func() {
+					g.w.Crash(crashed, simnet.DropInFlight)
 				})
-				h.w.RunFor(20 * time.Second)
-				if len(h.nolossViolations) > 0 {
-					t.Fatalf("No loss violated: %v", h.nolossViolations)
-				}
-				if len(h.stabilityShortage) > 0 {
-					t.Fatalf("v-stability shortage: %v", h.stabilityShortage)
-				}
+				g.Run(20 * time.Second)
+				lw.check(t)
 			})
 		}
 	}
@@ -204,38 +177,16 @@ func TestNoLossCheckerDetectsFaultyStack(t *testing.T) {
 		}
 		return params.Latency
 	}
-	h := &nolossHarness{
-		w:         simnet.NewWorld(3, params, 17),
-		engines:   make([]*Engine, 4),
-		willCrash: map[stack.ProcessID]bool{2: true},
-		f:         1,
-	}
-	for i := 1; i <= 3; i++ {
-		node := h.w.Node(stack.ProcessID(i))
-		eng, err := New(node, Config{
-			Variant: VariantFaultyIDs,
-			RB:      rbcast.KindEager,
-			Deliver: func(*msg.App) {},
-			OnDecision: func(k uint64, v consensus.Value) {
-				h.checkDecision(k, v)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.engines[i] = eng
-	}
-	ab := func(p stack.ProcessID, at time.Duration) {
-		h.w.After(p, at, func() { h.engines[p].ABroadcast([]byte("x")) })
-	}
-	ab(1, time.Millisecond)
-	ab(3, time.Millisecond)
-	ab(2, 50*time.Millisecond) // the poisoned broadcast
-	ab(1, 51*time.Millisecond)
-	ab(3, 51*time.Millisecond)
-	h.w.After(1, time.Second, func() { h.w.Crash(2, simnet.DropInFlight) })
-	h.w.RunFor(10 * time.Second)
-	if len(h.nolossViolations) == 0 {
+	g := newGroup(t, 3, VariantFaultyIDs, params, 17, freeRcv)
+	lw := watchLoss(g, 1, 2)
+	g.Broadcast(1, time.Millisecond, "x")
+	g.Broadcast(3, time.Millisecond, "x")
+	g.Broadcast(2, 50*time.Millisecond, "x") // the poisoned broadcast
+	g.Broadcast(1, 51*time.Millisecond, "x")
+	g.Broadcast(3, 51*time.Millisecond, "x")
+	g.w.After(1, time.Second, func() { g.w.Crash(2, simnet.DropInFlight) })
+	g.Run(10 * time.Second)
+	if len(lw.lost) == 0 {
 		t.Fatal("the faulty stack produced no No-loss violation; the checker (or the schedule) is broken")
 	}
 }

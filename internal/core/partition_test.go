@@ -29,18 +29,15 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/consensus"
-	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/relink"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
 
 // partitionRun drives one randomized minority-partition episode and returns
-// the cluster plus the majority deliveries observed at cut and heal time.
-func partitionRun(t *testing.T, seed int64, minoritySize int, mode simnet.PartitionMode, pipeline bool, extra ...func(*Config)) (c *cluster, sent []msg.ID, majoritySent []msg.ID, atCut, atHeal int) {
+// the group and how many messages p1 had delivered at cut and at heal time.
+func partitionRun(t *testing.T, seed int64, minoritySize int, mode simnet.PartitionMode, pipeline bool, extra ...func(*Config)) (g *group, atCut, atHeal int) {
 	t.Helper()
 	const n = 5
 	var mutate []func(*Config)
@@ -48,56 +45,13 @@ func partitionRun(t *testing.T, seed int64, minoritySize int, mode simnet.Partit
 		mutate = append(mutate, pipelined(3, 2))
 	}
 	mutate = append(mutate, extra...)
-	// No loss at every decision instant: nobody crashes in these runs, so
-	// every process counts as correct and at least one holder must exist.
-	var violations []string
-	c = newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), seed, mutate...)
-	for i := 1; i <= n; i++ {
-		i := i
-		eng := c.engines[i]
-		eng.cfg.OnDecision = func(k uint64, v consensus.Value) {
-			ids := idsOfValue(v)
-			if len(ids) == 0 {
-				return
-			}
-			holders := 0
-			for q := 1; q <= n; q++ {
-				all := true
-				for _, id := range ids {
-					if !c.engines[q].HasReceived(id) {
-						all = false
-						break
-					}
-				}
-				if all {
-					holders++
-				}
-			}
-			if holders == 0 {
-				violations = append(violations,
-					fmt.Sprintf("p%d k=%d ids=%v: no holder", i, k, ids))
-			}
-		}
-	}
-	t.Cleanup(func() {
-		if len(violations) > 0 {
-			t.Errorf("No loss violated: %v", violations)
-		}
-	})
+	g = newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), seed, mutate...)
+	requireNoLoss(t, g)
 
 	minority := procs()
 	for m := 0; m < minoritySize; m++ {
 		minority = append(minority, stack.ProcessID(n-m))
 	}
-	isMinority := func(p stack.ProcessID) bool {
-		for _, q := range minority {
-			if q == p {
-				return true
-			}
-		}
-		return false
-	}
-
 	// Symmetric workload straddling the episode: sends before, during, and
 	// after the cut, jittered per seed.
 	const cutAt, healAt = 400 * time.Millisecond, 1000 * time.Millisecond
@@ -105,25 +59,20 @@ func partitionRun(t *testing.T, seed int64, minoritySize int, mode simnet.Partit
 		p := stack.ProcessID(i)
 		for s := 0; s < 10; s++ {
 			at := time.Duration((int(seed)*29+i*13+s*149)%1400) * time.Millisecond
-			c.abcast(p, at, fmt.Sprintf("m-%d-%d", i, s))
-			id := msg.ID{Sender: p, Seq: uint64(s + 1)}
-			sent = append(sent, id)
-			if !isMinority(p) {
-				majoritySent = append(majoritySent, id)
-			}
+			g.Broadcast(p, at, fmt.Sprintf("m-%d-%d", i, s))
 		}
 	}
 
-	c.w.After(1, cutAt, func() {
-		atCut = len(c.delivered[1])
-		c.w.Partition(mode, minority)
+	g.w.After(1, cutAt, func() {
+		atCut = len(g.delivered(1))
+		g.w.Partition(mode, minority)
 	})
-	c.w.After(1, healAt, func() {
-		atHeal = len(c.delivered[1])
-		c.w.Heal()
+	g.w.After(1, healAt, func() {
+		atHeal = len(g.delivered(1))
+		g.w.Heal()
 	})
-	c.w.RunFor(40 * time.Second)
-	return c, sent, majoritySent, atCut, atHeal
+	g.Run(40 * time.Second)
+	return g, atCut, atHeal
 }
 
 // TestPartitionDelayPreservesAllProperties: under delay (TCP-like)
@@ -136,11 +85,8 @@ func TestPartitionDelayPreservesAllProperties(t *testing.T) {
 			pipeline := seed%2 == 0 // alternate serial and pipelined engines
 			name := fmt.Sprintf("seed=%d/minority=%d/pipeline=%v", seed, minoritySize, pipeline)
 			t.Run(name, func(t *testing.T) {
-				c, sent, _, atCut, atHeal := partitionRun(t, seed, minoritySize, simnet.PartitionDelay, pipeline)
-				all := procs(1, 2, 3, 4, 5)
-				c.checkTotalOrder(t, all)
-				c.checkIntegrity(t, all)
-				c.checkDelivers(t, all, sent) // reliable channels: everyone catches up
+				g, atCut, atHeal := partitionRun(t, seed, minoritySize, simnet.PartitionDelay, pipeline)
+				g.complete(procs(1, 2, 3, 4, 5)) // reliable channels: everyone catches up
 				if atHeal <= atCut {
 					t.Fatalf("majority made no progress during the partition: %d -> %d deliveries",
 						atCut, atHeal)
@@ -159,11 +105,8 @@ func TestPartitionDropKeepsSafety(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		name := fmt.Sprintf("seed=%d", seed)
 		t.Run(name, func(t *testing.T) {
-			c, _, majoritySent, atCut, atHeal := partitionRun(t, seed, 2, simnet.PartitionDrop, false)
-			all := procs(1, 2, 3, 4, 5)
-			c.checkTotalOrder(t, all)
-			c.checkIntegrity(t, all)
-			c.checkDelivers(t, procs(1, 2, 3), majoritySent)
+			g, atCut, atHeal := partitionRun(t, seed, 2, simnet.PartitionDrop, false)
+			g.complete(procs(1, 2, 3))
 			if atHeal <= atCut {
 				t.Fatalf("majority made no progress during the partition: %d -> %d deliveries",
 					atCut, atHeal)
@@ -203,13 +146,10 @@ func TestPartitionDropRecoveryCatchesUp(t *testing.T) {
 					recover := func(cfg *Config) {
 						cfg.Recover = &RecoverConfig{Link: tc.link}
 					}
-					c, sent, _, atCut, atHeal := partitionRun(t, seed, 2, simnet.PartitionDrop, pipeline, recover)
-					all := procs(1, 2, 3, 4, 5)
-					c.checkTotalOrder(t, all)
-					c.checkIntegrity(t, all)
+					g, atCut, atHeal := partitionRun(t, seed, 2, simnet.PartitionDrop, pipeline, recover)
 					// The headline: full delivery everywhere despite the
 					// black hole — drop-mode is survivable with recovery.
-					c.checkDelivers(t, all, sent)
+					g.complete(procs(1, 2, 3, 4, 5))
 					if atHeal <= atCut {
 						t.Fatalf("majority made no progress during the partition: %d -> %d deliveries",
 							atCut, atHeal)
@@ -217,11 +157,11 @@ func TestPartitionDropRecoveryCatchesUp(t *testing.T) {
 					var retrans, evicted int64
 					relays, syncs := 0, 0
 					for p := 1; p <= 5; p++ {
-						st := c.engines[p].LinkStats()
+						st := g.engines[p].LinkStats()
 						retrans += st.Retransmitted
 						evicted += st.Evicted
-						relays += c.engines[p].cons.RelayCount()
-						syncs += int(c.engines[p].syncReqs.Value())
+						relays += g.engines[p].cons.RelayCount()
+						syncs += int(g.engines[p].syncReqs.Value())
 					}
 					if retrans == 0 {
 						t.Fatalf("no link-layer retransmissions across a drop cut")

@@ -5,8 +5,8 @@ package core
 // preference, and the long soak asserting a flat memory profile across
 // crash/restart churn and partition episodes.
 //
-// All runs use RunFor, never Run: the checkpoint timer re-arms forever, so a
-// persistent world never goes idle.
+// Every run is bounded (group.Run(d)), never World.Run: the checkpoint timer
+// re-arms forever, so a persistent world never goes idle.
 
 import (
 	"fmt"
@@ -14,145 +14,12 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/msg"
 	"abcast/internal/netmodel"
 	"abcast/internal/persist"
 	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
-
-// pcluster is an n-process system where every process runs with a persistent
-// store and can be crashed and restarted as a fresh incarnation on the same
-// store and identity.
-type pcluster struct {
-	t        *testing.T
-	w        *simnet.World
-	params   netmodel.Params
-	interval time.Duration
-	rb       rbcast.Kind
-	// reopen returns the store for process p's next incarnation: the same
-	// MemStore across incarnations, or a fresh FileStore handle on the same
-	// directory (what a real restarted OS process would do).
-	reopen func(p int) persist.Store
-	// tweaks adjust every incarnation's configuration (variant, trace).
-	tweaks []func(*Config)
-
-	engines   []*Engine           // index 0 unused; current incarnation
-	delivered [][]msg.ID          // cumulative across incarnations
-	inc       [][]msg.ID          // current incarnation only (reset at restart)
-	payloads  []map[msg.ID]string // cumulative
-}
-
-func newPersistCluster(t *testing.T, n int, seed int64, interval time.Duration, rb rbcast.Kind, reopen func(p int) persist.Store, tweaks ...func(*Config)) *pcluster {
-	t.Helper()
-	params := netmodel.Setup1()
-	c := &pcluster{
-		t:         t,
-		w:         simnet.NewWorld(n, params, seed),
-		params:    params,
-		interval:  interval,
-		rb:        rb,
-		reopen:    reopen,
-		tweaks:    tweaks,
-		engines:   make([]*Engine, n+1),
-		delivered: make([][]msg.ID, n+1),
-		inc:       make([][]msg.ID, n+1),
-		payloads:  make([]map[msg.ID]string, n+1),
-	}
-	for i := 1; i <= n; i++ {
-		c.payloads[i] = make(map[msg.ID]string)
-		c.startProc(i, c.w.Node(stack.ProcessID(i)))
-	}
-	return c
-}
-
-// startProc builds one incarnation of process p on the given node: the full
-// stack wiring a restarted process repeats, with the store carrying whatever
-// the previous incarnation checkpointed.
-func (c *pcluster) startProc(p int, node *stack.Node) {
-	c.t.Helper()
-	cfg := Config{
-		Variant:      VariantIndirectCT,
-		RB:           c.rb,
-		RcvCheckCost: c.params.RcvCheckPerID,
-		Persist:      &PersistConfig{Store: c.reopen(p), Interval: c.interval},
-		Deliver: func(app *msg.App) {
-			c.delivered[p] = append(c.delivered[p], app.ID)
-			c.inc[p] = append(c.inc[p], app.ID)
-			c.payloads[p][app.ID] = string(app.Payload)
-		},
-	}
-	for _, tweak := range c.tweaks {
-		tweak(&cfg)
-	}
-	eng, err := New(node, cfg)
-	if err != nil {
-		c.t.Fatalf("New(p%d): %v", p, err)
-	}
-	c.engines[p] = eng
-}
-
-// abcast schedules a broadcast on p's event loop. The timer belongs to p's
-// current incarnation: it is dropped if p crashes before it fires.
-func (c *pcluster) abcast(p int, d time.Duration, payload string) {
-	c.w.After(stack.ProcessID(p), d, func() { c.engines[p].ABroadcast([]byte(payload)) })
-}
-
-// restartAt schedules a restart of p at absolute simulation time `at`,
-// rebuilding the stack on the fresh node. `then` (optional) runs right after,
-// in the new incarnation's epoch — the place to schedule its broadcasts.
-func (c *pcluster) restartAt(p int, at time.Duration, then func()) {
-	c.w.Engine().After(at, func() {
-		node := c.w.Restart(stack.ProcessID(p))
-		c.inc[p] = nil
-		c.startProc(p, node)
-		if then != nil {
-			then()
-		}
-	})
-}
-
-// checkSamePrefix verifies one delivery sequence is a prefix of the other.
-func checkSamePrefix(t *testing.T, a, b []msg.ID, la, lb string) {
-	t.Helper()
-	short := a
-	if len(b) < len(a) {
-		short = b
-	}
-	for i := range short {
-		if a[i] != b[i] {
-			t.Fatalf("total order violated: %s[%d]=%v, %s[%d]=%v", la, i, a[i], lb, i, b[i])
-		}
-	}
-}
-
-// checkIncarnationSuffix verifies a restarted incarnation's delivery sequence
-// equals the tail of the canonical order: redelivery resumes at the checkpoint
-// frontier and continues in unchanged total order through quiescence.
-func checkIncarnationSuffix(t *testing.T, full, tail []msg.ID, label string) {
-	t.Helper()
-	if len(tail) == 0 {
-		t.Fatalf("%s delivered nothing after restart", label)
-	}
-	if len(tail) > len(full) {
-		t.Fatalf("%s delivered %d after restart, more than the canonical %d", label, len(tail), len(full))
-	}
-	off := len(full) - len(tail)
-	for i := range tail {
-		if tail[i] != full[off+i] {
-			t.Fatalf("%s post-restart order diverges at %d: got %v, canonical %v",
-				label, i, tail[i], full[off+i])
-		}
-	}
-	seen := make(map[msg.ID]bool, len(tail))
-	for _, id := range tail {
-		if seen[id] {
-			t.Fatalf("%s delivered %v twice within one incarnation", label, id)
-		}
-		seen[id] = true
-	}
-}
 
 // memReopen returns a reopen func sharing one MemStore per process across
 // incarnations (restart within the OS process).
@@ -189,18 +56,18 @@ func fileReopen(t *testing.T) func(p int) persist.Store {
 // the total delivered, while delivery itself stays complete, totally
 // ordered, and counted in full.
 func TestPersistBoundedMemory(t *testing.T) {
-	c := newPersistCluster(t, 3, 7, 50*time.Millisecond, rbcast.KindLazy, memReopen())
+	g := newDurableGroup(t, 3, 7, 50*time.Millisecond, memReopen(), func(cfg *Config) { cfg.RB = rbcast.KindLazy })
 	const total = 900
 	for s := 0; s < total; s++ {
-		c.abcast(s%3+1, time.Duration(s)*5*time.Millisecond, fmt.Sprintf("m-%d", s))
+		g.Broadcast(stack.ProcessID(s%3+1), time.Duration(s)*5*time.Millisecond, fmt.Sprintf("m-%d", s))
 	}
-	runChecked(t, c.w, c.engines, 30*time.Second)
+	g.Run(30 * time.Second)
 	for p := 1; p <= 3; p++ {
-		st := c.engines[p].Stats()
+		st := g.engines[p].Stats()
 		if st.Delivered != total {
 			t.Fatalf("p%d delivered %d, want %d", p, st.Delivered, total)
 		}
-		ckpts, prunes, errs := c.engines[p].PersistStats()
+		ckpts, prunes, errs := g.engines[p].PersistStats()
 		if ckpts == 0 || prunes == 0 {
 			t.Fatalf("p%d: ckpts=%d prunes=%d; persistence idle", p, ckpts, prunes)
 		}
@@ -210,14 +77,12 @@ func TestPersistBoundedMemory(t *testing.T) {
 		if st.LogBase == 0 {
 			t.Fatalf("p%d: logBase never advanced", p)
 		}
-		o := c.engines[p].Observe()
-		if kept := c.engines[p].rb.Retained(); o.Received > total/4 || o.DeliveredLog > total/4 || kept > total/4 {
+		o := g.engines[p].Observe()
+		if kept := g.engines[p].rb.Retained(); o.Received > total/4 || o.DeliveredLog > total/4 || kept > total/4 {
 			t.Fatalf("p%d: memory not bounded: received=%d deliveredLog=%d diffusion=%d of %d delivered",
 				p, o.Received, o.DeliveredLog, kept, total)
 		}
 	}
-	checkSamePrefix(t, c.delivered[1], c.delivered[2], "p1", "p2")
-	checkSamePrefix(t, c.delivered[1], c.delivered[3], "p1", "p3")
 }
 
 // testRestart is the crash-recovery property shared by the store-backed
@@ -227,58 +92,44 @@ func TestPersistBoundedMemory(t *testing.T) {
 // while down, post-restart order equal to the canonical tail, and new
 // broadcasts under fresh (non-aliasing) sequence numbers.
 func testRestart(t *testing.T, reopen func(p int) persist.Store) {
-	c := newPersistCluster(t, 3, 11, 50*time.Millisecond, rbcast.KindEager, reopen)
-	var want []string
-	send := func(p int, d time.Duration, payload string) {
-		c.abcast(p, d, payload)
-		want = append(want, payload)
-	}
+	g := newDurableGroup(t, 3, 11, 50*time.Millisecond, reopen)
 	// Phase 1: everyone broadcasts; p2 checkpoints some of it.
 	for i := 1; i <= 3; i++ {
 		for s := 0; s < 15; s++ {
-			send(i, time.Duration(s*100+i*7)*time.Millisecond, fmt.Sprintf("a-%d-%d", i, s))
+			g.Broadcast(stack.ProcessID(i), time.Duration(s*100+i*7)*time.Millisecond, fmt.Sprintf("a-%d-%d", i, s))
 		}
 	}
-	c.w.Engine().After(2*time.Second, func() { c.w.Crash(2, simnet.DropInFlight) })
+	g.Crash(2, 2*time.Second, simnet.DropInFlight)
 	// Phase 2: the survivors keep the total order moving while p2 is down.
-	for _, p := range []int{1, 3} {
+	for _, p := range procs(1, 3) {
 		for s := 0; s < 15; s++ {
-			send(p, 2500*time.Millisecond+time.Duration(s*100+p*7)*time.Millisecond, fmt.Sprintf("b-%d-%d", p, s))
+			g.Broadcast(p, 2500*time.Millisecond+time.Duration(s*100+int(p)*7)*time.Millisecond, fmt.Sprintf("b-%d-%d", p, s))
 		}
 	}
 	// Restart at 5s; the new incarnation also broadcasts (phase 3) — those
 	// messages must get fresh sequence numbers (the WAL'd counter), or they
-	// would alias pre-crash identifiers and be deduplicated away.
-	c.restartAt(2, 5*time.Second, func() {
+	// would alias pre-crash identifiers, which the oracle rejects.
+	g.Restart(2, 5*time.Second, func() {
 		for s := 0; s < 5; s++ {
-			c.abcast(2, 2*time.Second+time.Duration(s*100)*time.Millisecond, fmt.Sprintf("c-2-%d", s))
+			g.Broadcast(2, 2*time.Second+time.Duration(s*100)*time.Millisecond, fmt.Sprintf("c-2-%d", s))
 		}
 	})
 	for s := 0; s < 5; s++ {
-		want = append(want, fmt.Sprintf("c-2-%d", s))
-		send(1, 7*time.Second+time.Duration(s*100)*time.Millisecond, fmt.Sprintf("c-1-%d", s))
+		g.Broadcast(1, 7*time.Second+time.Duration(s*100)*time.Millisecond, fmt.Sprintf("c-1-%d", s))
 	}
-	runChecked(t, c.w, c.engines, 60*time.Second)
+	g.Run(60 * time.Second)
 
+	// Phase 1 and 2 and the five of p2's new incarnation.
+	const want = 3*15 + 2*15 + 5 + 5
 	for p := 1; p <= 3; p++ {
-		have := make(map[string]bool, len(c.payloads[p]))
-		for _, pl := range c.payloads[p] {
-			have[pl] = true
+		if st := g.engines[p].Stats(); st.Delivered != want {
+			t.Fatalf("p%d delivered %d, want %d", p, st.Delivered, want)
 		}
-		for _, w := range want {
-			if !have[w] {
-				t.Fatalf("no loss violated: p%d never delivered %q", p, w)
-			}
-		}
-		if st := c.engines[p].Stats(); st.Delivered != len(want) {
-			t.Fatalf("p%d delivered %d, want %d", p, st.Delivered, len(want))
-		}
-		if _, _, errs := c.engines[p].PersistStats(); errs != 0 {
+		if _, _, errs := g.engines[p].PersistStats(); errs != 0 {
 			t.Fatalf("p%d: %d store errors", p, errs)
 		}
 	}
-	checkSamePrefix(t, c.delivered[1], c.delivered[3], "p1", "p3")
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[2], "p2")
+	g.complete(procs(1, 2, 3))
 }
 
 func TestRestartFromCheckpointMem(t *testing.T) {
@@ -295,7 +146,7 @@ func TestRestartFromCheckpointFile(t *testing.T) {
 // the rotation still covers everyone, self and unknown entries are ignored,
 // and an empty preference leaves the historical rotation untouched.
 func TestNextPeerPrefersConfigured(t *testing.T) {
-	pref := newCluster(t, 4, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 3,
+	pref := newGroup(t, 4, VariantIndirectCT, netmodel.Setup1(), 3,
 		func(cfg *Config) {
 			cfg.Recover = &RecoverConfig{}
 			cfg.PreferPeers = []stack.ProcessID{1, 3, 9}
@@ -316,7 +167,7 @@ func TestNextPeerPrefersConfigured(t *testing.T) {
 		t.Fatalf("rotation covered %d peers, want 3", len(seen))
 	}
 
-	plain := newCluster(t, 4, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 3,
+	plain := newGroup(t, 4, VariantIndirectCT, netmodel.Setup1(), 3,
 		func(cfg *Config) { cfg.Recover = &RecoverConfig{} })
 	for a := 0; a < 6; a++ {
 		want := stack.ProcessID((1+a%3)%4 + 1)
@@ -336,13 +187,13 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: hours of simulated time")
 	}
-	c := newPersistCluster(t, 3, 17, 200*time.Millisecond, rbcast.KindEager, memReopen())
+	g := newDurableGroup(t, 3, 17, 200*time.Millisecond, memReopen())
 	const dur = 2 * time.Hour
 
 	// Steady traffic from p1 (never crashed; its delivery log is canonical).
 	sent := 0
 	for ts := time.Second; ts < dur-time.Minute; ts += time.Second {
-		c.abcast(1, ts, fmt.Sprintf("s-%d", sent))
+		g.Broadcast(1, ts, fmt.Sprintf("s-%d", sent))
 		sent++
 	}
 
@@ -350,25 +201,25 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 	// then restart it from its checkpoint; each fresh incarnation broadcasts
 	// a probe, proving restarted senders keep Validity.
 	probes := 0
-	victim := 2
+	victim := stack.ProcessID(2)
 	for at := 5 * time.Minute; at < dur-10*time.Minute; at += 10 * time.Minute {
 		v := victim
 		victim = 5 - victim
-		c.w.Engine().After(at, func() { c.w.Crash(stack.ProcessID(v), simnet.DropInFlight) })
+		g.Crash(v, at, simnet.DropInFlight)
 		probe := fmt.Sprintf("r-%d-%d", v, probes)
 		probes++
-		c.restartAt(v, at+30*time.Second, func() {
-			c.abcast(v, time.Second, probe)
+		g.Restart(v, at+30*time.Second, func() {
+			g.Broadcast(v, time.Second, probe)
 		})
 	}
 
 	// Partition episodes (black-hole mode), disjoint from the churn windows.
 	for at := 10 * time.Minute; at < dur-10*time.Minute; at += 20 * time.Minute {
 		at := at
-		c.w.Engine().After(at, func() {
-			c.w.Partition(simnet.PartitionDrop, []stack.ProcessID{1, 2}, []stack.ProcessID{3})
+		g.w.Engine().After(at, func() {
+			g.w.Partition(simnet.PartitionDrop, []stack.ProcessID{1, 2}, []stack.ProcessID{3})
 		})
-		c.w.Engine().After(at+15*time.Second, func() { c.w.Heal() })
+		g.w.Engine().After(at+15*time.Second, func() { g.w.Heal() })
 	}
 
 	// Sample p1's memory profile every simulated minute.
@@ -377,25 +228,24 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 	}
 	var samples []sample
 	for at := time.Minute; at < dur; at += time.Minute {
-		c.w.Engine().After(at, func() {
-			o := c.engines[1].Observe()
-			samples = append(samples, sample{received: o.Received, log: o.DeliveredLog, diffusion: c.engines[1].rb.Retained()})
+		g.w.Engine().After(at, func() {
+			o := g.engines[1].Observe()
+			samples = append(samples, sample{received: o.Received, log: o.DeliveredLog, diffusion: g.engines[1].rb.Retained()})
 		})
 	}
 
-	runChecked(t, c.w, c.engines, dur+2*time.Minute)
+	g.Run(dur + 2*time.Minute)
 
 	total := sent + probes
 	for p := 1; p <= 3; p++ {
-		if st := c.engines[p].Stats(); st.Delivered != total {
+		if st := g.engines[p].Stats(); st.Delivered != total {
 			t.Fatalf("p%d delivered %d, want %d", p, st.Delivered, total)
 		}
-		if _, _, errs := c.engines[p].PersistStats(); errs != 0 {
+		if _, _, errs := g.engines[p].PersistStats(); errs != 0 {
 			t.Fatalf("p%d: %d store errors", p, errs)
 		}
 	}
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[2], "p2")
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[3], "p3")
+	g.complete(procs(1, 2, 3))
 
 	// Flatness: occupancy may spike to roughly the repair horizon while a
 	// peer is down or the network is cut (pruning needs everyone's durable
@@ -411,7 +261,7 @@ func TestPersistSoakFlatMemory(t *testing.T) {
 		t.Fatalf("memory profile not flat: max received=%d max deliveredLog=%d max diffusion=%d over %d delivered",
 			maxReceived, maxLog, maxDiffusion, total)
 	}
-	final := c.engines[1].Observe()
+	final := g.engines[1].Observe()
 	if final.Received > 128 || final.DeliveredLog > 128 {
 		t.Fatalf("quiescent occupancy high: received=%d deliveredLog=%d", final.Received, final.DeliveredLog)
 	}

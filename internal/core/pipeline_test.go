@@ -16,18 +16,17 @@ import (
 
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
 
 // burst schedules per-process traffic bursts dense enough to keep several
-// instances in flight.
-func burst(c *cluster, n, perProc int, spacing time.Duration) []msg.ID {
+// instances in flight, and returns the identifiers they will be given.
+func burst(g *group, n, perProc int, spacing time.Duration) []msg.ID {
 	var want []msg.ID
 	for i := 1; i <= n; i++ {
 		for s := 1; s <= perProc; s++ {
-			c.abcast(stack.ProcessID(i),
+			g.Broadcast(stack.ProcessID(i),
 				time.Duration(s)*spacing+time.Duration(i)*30*time.Microsecond,
 				fmt.Sprintf("m-%d-%d", i, s))
 			want = append(want, msg.ID{Sender: stack.ProcessID(i), Seq: uint64(s)})
@@ -44,16 +43,14 @@ func TestPipelinedBroadcastAllVariants(t *testing.T) {
 	for _, v := range allVariants() {
 		t.Run(v.String(), func(t *testing.T) {
 			const n = 3
-			c := newCluster(t, n, v, rbcast.KindEager, netmodel.Setup1(), 31, pipelined(4, 2))
-			want := burst(c, n, 12, 2*time.Millisecond)
-			c.w.RunFor(30 * time.Second)
+			g := newGroup(t, n, v, netmodel.Setup1(), 31, pipelined(4, 2))
+			burst(g, n, 12, 2*time.Millisecond)
+			g.Run(30 * time.Second)
 			all := procs(1, 2, 3)
-			c.checkDelivers(t, all, want)
-			c.checkTotalOrder(t, all)
-			c.checkIntegrity(t, all)
+			g.complete(all)
 			engaged := false
 			for _, p := range all {
-				st := c.engines[p].Stats()
+				st := g.engines[p].Stats()
 				if st.MaxInFlight > 4 {
 					t.Fatalf("p%d exceeded the window: MaxInFlight=%d > 4", p, st.MaxInFlight)
 				}
@@ -74,12 +71,11 @@ func TestPipelinedBroadcastAllVariants(t *testing.T) {
 func TestPipelineWindowBound(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
-			c := newCluster(t, 3, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 37,
-				pipelined(w, 1))
-			burst(c, 3, 10, time.Millisecond)
-			c.w.RunFor(20 * time.Second)
+			g := newGroup(t, 3, VariantIndirectCT, netmodel.Setup1(), 37, pipelined(w, 1))
+			burst(g, 3, 10, time.Millisecond)
+			g.Run(20 * time.Second)
 			for p := 1; p <= 3; p++ {
-				st := c.engines[p].Stats()
+				st := g.engines[p].Stats()
 				if st.MaxInFlight > w {
 					t.Fatalf("p%d: MaxInFlight=%d exceeds window %d", p, st.MaxInFlight, w)
 				}
@@ -99,27 +95,18 @@ func TestPipelineWindowBound(t *testing.T) {
 // delivered twice and nothing lost.
 func TestPipelineRecyclesForeignOrderedIDs(t *testing.T) {
 	const n = 3
-	c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 41, pipelined(3, 1))
-	var want []msg.ID
+	g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 41, pipelined(3, 1))
 	// Everyone broadcasts simultaneously, repeatedly: maximal proposal
 	// overlap across processes.
 	for s := 1; s <= 8; s++ {
 		for i := 1; i <= n; i++ {
-			c.abcast(stack.ProcessID(i), time.Duration(s)*4*time.Millisecond, "x")
+			g.Broadcast(stack.ProcessID(i), time.Duration(s)*4*time.Millisecond, "x")
 		}
 	}
-	for i := 1; i <= n; i++ {
-		for s := uint64(1); s <= 8; s++ {
-			want = append(want, msg.ID{Sender: stack.ProcessID(i), Seq: s})
-		}
-	}
-	c.w.RunFor(30 * time.Second)
-	all := procs(1, 2, 3)
-	c.checkDelivers(t, all, want)
-	c.checkTotalOrder(t, all)
-	c.checkIntegrity(t, all)
+	g.Run(30 * time.Second)
+	g.complete(procs(1, 2, 3))
 	for p := 1; p <= n; p++ {
-		if st := c.engines[p].Stats(); st.Unordered != 0 || st.OrderedQ != 0 || st.InFlight != 0 {
+		if st := g.engines[p].Stats(); st.Unordered != 0 || st.OrderedQ != 0 || st.InFlight != 0 {
 			t.Fatalf("p%d left pipeline residue: %+v", p, st)
 		}
 	}
@@ -134,7 +121,7 @@ func TestPipelinedCrashSurvivors(t *testing.T) {
 			if v == VariantIndirectMR {
 				n = 4 // f < n/3
 			}
-			c := newCluster(t, n, v, rbcast.KindEager, netmodel.Setup1(), 43, pipelined(4, 2))
+			g := newGroup(t, n, v, netmodel.Setup1(), 43, pipelined(4, 2))
 			crashed := stack.ProcessID(2)
 			var alive []stack.ProcessID
 			for i := 1; i <= n; i++ {
@@ -144,29 +131,21 @@ func TestPipelinedCrashSurvivors(t *testing.T) {
 			}
 			for i := 1; i <= n; i++ {
 				for s := 0; s < 4; s++ {
-					c.abcast(stack.ProcessID(i), time.Duration(2+s*3)*time.Millisecond,
+					g.Broadcast(stack.ProcessID(i), time.Duration(2+s*3)*time.Millisecond,
 						fmt.Sprintf("pre-%d-%d", i, s))
 				}
 			}
-			c.w.After(1, 100*time.Millisecond, func() {
-				c.w.Crash(crashed, simnet.DropInFlight)
+			g.w.After(1, 100*time.Millisecond, func() {
+				g.w.Crash(crashed, simnet.DropInFlight)
 			})
 			for _, p := range alive {
 				for s := 0; s < 6; s++ {
-					c.abcast(p, 300*time.Millisecond+time.Duration(s)*10*time.Millisecond,
+					g.Broadcast(p, 300*time.Millisecond+time.Duration(s)*10*time.Millisecond,
 						fmt.Sprintf("post-%d-%d", p, s))
 				}
 			}
-			var want []msg.ID
-			for _, p := range alive {
-				for s := uint64(1); s <= 10; s++ {
-					want = append(want, msg.ID{Sender: p, Seq: s})
-				}
-			}
-			c.w.RunFor(30 * time.Second)
-			c.checkDelivers(t, alive, want)
-			c.checkTotalOrder(t, alive)
-			c.checkIntegrity(t, alive)
+			g.Run(30 * time.Second)
+			g.complete(alive)
 		})
 	}
 }
@@ -177,14 +156,10 @@ func TestPipelinedCrashSurvivors(t *testing.T) {
 // per-cluster).
 func TestPipelinedMatchesSerialOrderProperties(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		c := newCluster(t, 3, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 47,
-			pipelined(w, 3))
-		want := burst(c, 3, 10, 3*time.Millisecond)
-		c.w.RunFor(20 * time.Second)
-		all := procs(1, 2, 3)
-		c.checkDelivers(t, all, want)
-		c.checkTotalOrder(t, all)
-		c.checkIntegrity(t, all)
+		g := newGroup(t, 3, VariantIndirectCT, netmodel.Setup1(), 47, pipelined(w, 3))
+		burst(g, 3, 10, 3*time.Millisecond)
+		g.Run(20 * time.Second)
+		g.complete(procs(1, 2, 3))
 	}
 }
 
@@ -217,17 +192,15 @@ func TestPipelineValidation(t *testing.T) {
 // beacon count must stay strictly below the naive scheme's cost (which paid
 // one standalone message per announcement, i.e. standalone == announced).
 func TestPipelineBeaconPiggybackReducesMessages(t *testing.T) {
-	c := newCluster(t, 3, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), 53,
-		pipelined(4, 2))
-	want := burst(c, 3, 12, 2*time.Millisecond)
-	c.w.RunFor(30 * time.Second)
+	g := newGroup(t, 3, VariantIndirectCT, netmodel.Setup1(), 53, pipelined(4, 2))
+	burst(g, 3, 12, 2*time.Millisecond)
+	g.Run(30 * time.Second)
 	all := procs(1, 2, 3)
-	c.checkDelivers(t, all, want)
-	c.checkTotalOrder(t, all)
+	g.complete(all)
 
 	announced, piggybacked, standalone := 0, 0, 0
 	for _, p := range all {
-		a, pb, sa := c.engines[p].cons.OpenTraffic()
+		a, pb, sa := g.engines[p].cons.OpenTraffic()
 		announced += a
 		piggybacked += pb
 		standalone += sa

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 	"abcast/internal/trace"
@@ -47,20 +46,20 @@ type hold struct{ lastHeld, released time.Duration }
 
 // watchHold polls p's current incarnation every millisecond from now until
 // its hold ends, failing the test if it proposes anything while held.
-func watchHold(t *testing.T, c *pcluster, p int) *hold {
+func watchHold(t *testing.T, g *group, p stack.ProcessID) *hold {
 	h := new(hold)
 	var poll func()
 	poll = func() {
-		e := c.engines[p]
+		e := g.engines[p]
 		if e.held == nil {
-			h.released = at(c.w.Now())
+			h.released = at(g.w.Now())
 			return
 		}
 		if e.maxInFlight != 0 {
 			t.Errorf("p%d proposed while held", p)
 		}
-		h.lastHeld = at(c.w.Now())
-		c.w.Engine().After(time.Millisecond, poll)
+		h.lastHeld = at(g.w.Now())
+		g.w.Engine().After(time.Millisecond, poll)
 	}
 	poll()
 	return h
@@ -113,20 +112,20 @@ func testRejoinUnderLoad(t *testing.T, v Variant, n int) {
 		maxSilence = 50 * time.Millisecond
 	)
 	tr := trace.New()
-	c := newPersistCluster(t, n, 5, 50*time.Millisecond, rbcast.KindEager, memReopen(),
+	g := newDurableGroup(t, n, 5, 50*time.Millisecond, memReopen(),
 		func(cfg *Config) { cfg.Variant, cfg.Trace = v, tr })
 	survivors := []stack.ProcessID{1, 3}
 	sent := 0
 	for ts := every; ts < loadEnd; ts += every {
 		for _, p := range survivors {
-			c.abcast(int(p), ts, fmt.Sprintf("m-%d-%d", p, sent))
+			g.Broadcast(p, ts, fmt.Sprintf("m-%d-%d", p, sent))
 			sent++
 		}
 	}
-	c.w.Engine().After(crashAt, func() { c.w.Crash(coordinator, simnet.DropInFlight) })
+	g.Crash(coordinator, crashAt, simnet.DropInFlight)
 	var h *hold
-	c.restartAt(coordinator, restartAt, func() { h = watchHold(t, c, coordinator) })
-	runChecked(t, c.w, c.engines, loadEnd+3*time.Second)
+	g.Restart(coordinator, restartAt, func() { h = watchHold(t, g, coordinator) })
+	g.Run(loadEnd + 3*time.Second)
 
 	if h.released == 0 || h.released > loadEnd {
 		t.Fatalf("p%d released at %v, want before the load ends at %v", coordinator, h.released, loadEnd)
@@ -137,17 +136,16 @@ func testRejoinUnderLoad(t *testing.T, v Variant, n int) {
 		if gap := longestSilence(events, p, restartAt, loadEnd); gap > maxSilence {
 			t.Errorf("p%d delivered nothing for %v after the restart, want ≤ %v", p, gap, maxSilence)
 		}
-		if c.engines[p].cfg.Detector.Suspects(coordinator) {
+		if g.engines[p].cfg.Detector.Suspects(coordinator) {
 			t.Errorf("p%d still suspects the rejoined p%d", p, coordinator)
 		}
 	}
 	for p := 1; p <= n; p++ {
-		if st := c.engines[p].Stats(); st.Delivered != sent {
+		if st := g.engines[p].Stats(); st.Delivered != sent {
 			t.Fatalf("p%d delivered %d, want %d", p, st.Delivered, sent)
 		}
 	}
-	checkSamePrefix(t, c.delivered[1], c.delivered[3], "p1", "p3")
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[coordinator], "p2")
+	g.complete(procs(1, 2, 3, 4)[:n])
 }
 
 // TestRestartIntoIdleGroupRejoins: with nothing to catch up on, the hold ends
@@ -165,40 +163,38 @@ func TestRestartIntoIdleGroupRejoins(t *testing.T) {
 		probeAt   = restartAt + time.Second
 	)
 	tr := trace.New()
-	c := newPersistCluster(t, 3, 9, 50*time.Millisecond, rbcast.KindEager, memReopen(),
+	g := newDurableGroup(t, 3, 9, 50*time.Millisecond, memReopen(),
 		func(cfg *Config) { cfg.Trace = tr })
 	for p := 1; p <= 3; p++ {
-		if c.engines[p].held != nil {
+		if g.engines[p].held != nil {
 			t.Fatalf("fresh p%d is held", p)
 		}
 	}
-	if got := c.w.MsgsSent(); got != 3*2 {
+	if got := g.w.MsgsSent(); got != 3*2 {
 		t.Fatalf("%d messages sent at construction, want one heartbeat to each peer (6)", got)
 	}
 	for s := 0; s < 20; s++ {
-		c.abcast(1+s%3, time.Duration(s)*20*time.Millisecond, fmt.Sprintf("a-%d", s))
+		g.Broadcast(stack.ProcessID(1+s%3), time.Duration(s)*20*time.Millisecond, fmt.Sprintf("a-%d", s))
 	}
-	c.w.Engine().After(crashAt, func() { c.w.Crash(coordinator, simnet.DropInFlight) })
+	g.Crash(coordinator, crashAt, simnet.DropInFlight)
+	var before int64
+	g.w.Engine().After(restartAt, func() { before = g.w.MsgsSent() })
 	var h *hold
-	c.w.Engine().After(restartAt, func() {
-		node := c.w.Restart(coordinator)
-		before := c.w.MsgsSent()
-		c.inc[coordinator] = nil
-		c.startProc(coordinator, node)
-		if c.engines[coordinator].held == nil {
+	g.Restart(coordinator, restartAt, func() {
+		if g.engines[coordinator].held == nil {
 			t.Errorf("restarted p%d is not held", coordinator)
 		}
-		if sent := c.w.MsgsSent() - before; sent != 0 {
+		if sent := g.w.MsgsSent() - before; sent != 0 {
 			t.Errorf("restarted p%d sent %d messages at construction, want none", coordinator, sent)
 		}
-		h = watchHold(t, c, coordinator)
+		h = watchHold(t, g, coordinator)
 	})
 	suspected := false
-	c.w.Engine().After(probeAt, func() {
-		suspected = c.engines[1].cfg.Detector.Suspects(coordinator) || c.engines[3].cfg.Detector.Suspects(coordinator)
-		c.engines[1].ABroadcast([]byte("probe"))
+	g.w.Engine().After(probeAt, func() {
+		suspected = g.engines[1].cfg.Detector.Suspects(coordinator) || g.engines[3].cfg.Detector.Suspects(coordinator)
+		g.abcast(1, []byte("probe"))
 	})
-	runChecked(t, c.w, c.engines, probeAt+2*time.Second)
+	g.Run(probeAt + 2*time.Second)
 
 	// 2n probes at catchupDelay, plus a round trip or two.
 	if h.released == 0 || h.released > restartAt+200*time.Millisecond {
@@ -227,8 +223,7 @@ func TestRestartIntoIdleGroupRejoins(t *testing.T) {
 	if !proposed {
 		t.Fatalf("p%d did not propose to instance %d, which ordered the probe", coordinator, k)
 	}
-	checkSamePrefix(t, c.delivered[1], c.delivered[3], "p1", "p3")
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[coordinator], "p2")
+	g.complete(procs(1, 2, 3))
 }
 
 // TestHeldProcessCompletesQuorum: a held process never leaves a quorum short.
@@ -247,15 +242,13 @@ func TestHeldProcessCompletesQuorum(t *testing.T) {
 		loadEnd   = 3 * time.Second
 	)
 	tr := trace.New()
-	c := newPersistCluster(t, 3, 11, 50*time.Millisecond, rbcast.KindEager, memReopen(),
+	g := newDurableGroup(t, 3, 11, 50*time.Millisecond, memReopen(),
 		func(cfg *Config) { cfg.Pipeline, cfg.Trace = 8, tr })
-	var sent1 []string
 	for ts, s := every, 0; ts < loadEnd; ts, s = ts+every, s+1 {
-		sent1 = append(sent1, fmt.Sprintf("m-1-%d", s))
-		c.abcast(1, ts, sent1[s])
-		c.abcast(3, ts, fmt.Sprintf("m-3-%d", s))
+		g.Broadcast(1, ts, fmt.Sprintf("m-1-%d", s))
+		g.Broadcast(3, ts, fmt.Sprintf("m-3-%d", s))
 	}
-	c.w.Engine().After(crashAt, func() { c.w.Crash(coordinator, simnet.DropInFlight) })
+	g.Crash(coordinator, crashAt, simnet.DropInFlight)
 	// While p2 is held, cut p3 off for a millisecond every 20 ms: a decision
 	// lost in the cut leaves p1 holding later ones until relink repairs the
 	// loss. The first instant p1 has such a hole that p2 shares, p3 crashes,
@@ -271,37 +264,37 @@ func TestHeldProcessCompletesQuorum(t *testing.T) {
 		watch, cut func()
 	)
 	watch = func() {
-		p1, p2 := c.engines[1], c.engines[coordinator]
+		p1, p2 := g.engines[1], g.engines[coordinator]
 		if p2.held == nil {
 			return
 		}
 		if hole == 0 {
 			if k := p1.kNext; len(p1.pending) > 0 && undecided(p2, k) {
 				hole = k
-				c.w.Heal()
-				c.w.Crash(3, simnet.DropInFlight)
+				g.w.Heal()
+				g.w.Crash(3, simnet.DropInFlight)
 			}
 		} else if undecided(p2, hole) {
 			for k := range p2.pending {
 				heldPast = heldPast || k > hole
 			}
 		}
-		c.w.Engine().After(100*time.Microsecond, watch)
+		g.w.Engine().After(100*time.Microsecond, watch)
 	}
 	cut = func() {
-		if hole != 0 || c.engines[coordinator].held == nil {
+		if hole != 0 || g.engines[coordinator].held == nil {
 			return
 		}
-		c.w.Partition(simnet.PartitionDrop, []stack.ProcessID{1, coordinator}, []stack.ProcessID{3})
-		c.w.Engine().After(time.Millisecond, c.w.Heal)
-		c.w.Engine().After(20*time.Millisecond, cut)
+		g.w.Partition(simnet.PartitionDrop, []stack.ProcessID{1, coordinator}, []stack.ProcessID{3})
+		g.w.Engine().After(time.Millisecond, g.w.Heal)
+		g.w.Engine().After(20*time.Millisecond, cut)
 	}
-	c.restartAt(coordinator, restartAt, func() {
-		h = watchHold(t, c, coordinator)
+	g.Restart(coordinator, restartAt, func() {
+		h = watchHold(t, g, coordinator)
 		watch()
 		cut()
 	})
-	runChecked(t, c.w, c.engines, loadEnd+3*time.Second)
+	g.Run(loadEnd + 3*time.Second)
 
 	if !heldPast {
 		t.Fatalf("held p%d never held a decision past an instance open at p1 when p3 crashed (hole %d); the case is not exercised", coordinator, hole)
@@ -310,17 +303,7 @@ func TestHeldProcessCompletesQuorum(t *testing.T) {
 		t.Fatalf("p%d still held at the end: instance %d was never decided", coordinator, hole)
 	}
 	checkNoProposal(t, tr.Events(), coordinator, restartAt, h.lastHeld)
-	delivered := map[string]bool{}
-	for _, id := range c.delivered[1] {
-		delivered[c.payloads[1][id]] = true
-	}
-	for _, payload := range sent1 {
-		if !delivered[payload] {
-			t.Fatalf("p1 never delivered its own %q", payload)
-		}
-	}
-	checkSamePrefix(t, c.delivered[1], c.delivered[3], "p1", "p3")
-	checkIncarnationSuffix(t, c.delivered[1], c.inc[coordinator], "p2")
+	g.complete(procs(1, coordinator))
 }
 
 // TestLoneProcessRestartRejoins: a restarted process whose vote every quorum
@@ -334,18 +317,18 @@ func TestLoneProcessRestartRejoins(t *testing.T) {
 		members []stack.ProcessID
 	}{{"n1", 1, nil}, {"n2", 2, nil}, {"view1", 3, []stack.ProcessID{1}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newPersistCluster(t, tc.n, 3, 50*time.Millisecond, rbcast.KindEager, memReopen(),
+			g := newDurableGroup(t, tc.n, 3, 50*time.Millisecond, memReopen(),
 				func(cfg *Config) { cfg.Members = tc.members })
-			c.abcast(1, 10*time.Millisecond, "before")
-			c.w.Engine().After(500*time.Millisecond, func() { c.w.Crash(1, simnet.DropInFlight) })
-			c.restartAt(1, time.Second, func() {
-				if c.engines[1].held != nil {
+			g.Broadcast(1, 10*time.Millisecond, "before")
+			g.Crash(1, 500*time.Millisecond, simnet.DropInFlight)
+			g.Restart(1, time.Second, func() {
+				if g.engines[1].held != nil {
 					t.Errorf("restarted p1 is held, with no quorum that could do without it")
 				}
-				c.abcast(1, 10*time.Millisecond, "after")
+				g.Broadcast(1, 10*time.Millisecond, "after")
 			})
-			runChecked(t, c.w, c.engines, 3*time.Second)
-			if got := c.inc[1]; len(got) == 0 || c.payloads[1][got[len(got)-1]] != "after" {
+			g.Run(3 * time.Second)
+			if got := g.delivered(1); len(got) == 0 || string(g.payloads[got[len(got)-1]]) != "after" {
 				t.Fatalf("restarted p1 delivered %v since its restart, want the broadcast made after it", got)
 			}
 		})

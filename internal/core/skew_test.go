@@ -7,7 +7,6 @@ import (
 
 	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 )
@@ -34,25 +33,22 @@ func TestProcessingDelaySkewInvariants(t *testing.T) {
 		t.Run(sk.name, func(t *testing.T) {
 			seedSweep(t, 3, func(t *testing.T, seed int64) {
 				const n = 4
-				c := newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), seed,
+				g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), seed,
 					withMembers(1, 2, 3), withRecovery(false), pipelined(2, 2))
-				c.w.SetProcessingDelays(sk.delays)
+				g.w.SetProcessingDelays(sk.delays)
 
-				var sent []msg.ID
 				for _, p := range []stack.ProcessID{1, 2, 3} {
 					for s := 0; s < 15; s++ {
 						at := time.Duration((int(seed)*53+int(p)*29+s*71)%1500) * time.Millisecond
-						c.abcastTracked(p, at, fmt.Sprintf("m-%d-%d", p, s), &sent)
+						g.Broadcast(p, at, fmt.Sprintf("m-%d-%d", p, s))
 					}
 				}
-				c.config(1, 700*time.Millisecond, msg.ConfigChange{Join: 4})
-				c.w.RunFor(60 * time.Second)
+				g.Config(1, 700*time.Millisecond, msg.ConfigChange{Join: 4})
+				g.Run(60 * time.Second)
 
 				final := []stack.ProcessID{1, 2, 3, 4}
-				c.checkTotalOrder(t, final)
-				c.checkIntegrity(t, final)
-				c.checkFullDelivery(t, final, sent)
-				c.checkFinalView(t, final, final)
+				g.complete(final)
+				g.checkFinalView(t, final, final)
 			})
 		})
 	}

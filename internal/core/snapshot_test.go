@@ -21,10 +21,7 @@ import (
 	"testing"
 	"time"
 
-	"abcast/internal/consensus"
-	"abcast/internal/msg"
 	"abcast/internal/netmodel"
-	"abcast/internal/rbcast"
 	"abcast/internal/relink"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
@@ -46,7 +43,7 @@ func deepLagCfg(snapshot bool) func(*Config) {
 // minority ends up behind by more than the decision log: n=3, process 3 cut
 // off for a full second while the majority orders a long message backlog
 // two identifiers at a time.
-func deepLagRun(t *testing.T, seed int64, pipeline bool, mutate ...func(*Config)) (c *cluster, sent []msg.ID, majoritySent []msg.ID) {
+func deepLagRun(t *testing.T, seed int64, pipeline bool, mutate ...func(*Config)) *group {
 	t.Helper()
 	const n = 3
 	var opts []func(*Config)
@@ -54,43 +51,9 @@ func deepLagRun(t *testing.T, seed int64, pipeline bool, mutate ...func(*Config)
 		opts = append(opts, func(cfg *Config) { cfg.Pipeline = 3 })
 	}
 	opts = append(opts, mutate...)
-	c = newCluster(t, n, VariantIndirectCT, rbcast.KindEager, netmodel.Setup1(), seed, opts...)
+	g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), seed, opts...)
 
-	// No loss at every decision instant (nobody crashes, so every process
-	// counts as correct and at least one holder must exist).
-	var violations []string
-	for i := 1; i <= n; i++ {
-		i := i
-		eng := c.engines[i]
-		eng.cfg.OnDecision = func(k uint64, v consensus.Value) {
-			ids := idsOfValue(v)
-			if len(ids) == 0 {
-				return
-			}
-			holders := 0
-			for q := 1; q <= n; q++ {
-				all := true
-				for _, id := range ids {
-					if !c.engines[q].HasReceived(id) {
-						all = false
-						break
-					}
-				}
-				if all {
-					holders++
-				}
-			}
-			if holders == 0 {
-				violations = append(violations,
-					fmt.Sprintf("p%d k=%d ids=%v: no holder", i, k, ids))
-			}
-		}
-	}
-	t.Cleanup(func() {
-		if len(violations) > 0 {
-			t.Errorf("No loss violated: %v", violations)
-		}
-	})
+	requireNoLoss(t, g)
 
 	// 20 messages per process, jittered per seed across 0-1.5 s; the cut
 	// (0.3-1.3 s) straddles most of the schedule, so the majority decides
@@ -100,18 +63,13 @@ func deepLagRun(t *testing.T, seed int64, pipeline bool, mutate ...func(*Config)
 		p := stack.ProcessID(i)
 		for s := 0; s < 20; s++ {
 			at := time.Duration((int(seed)*31+i*17+s*71)%1500) * time.Millisecond
-			c.abcast(p, at, fmt.Sprintf("m-%d-%d", i, s))
-			id := msg.ID{Sender: p, Seq: uint64(s + 1)}
-			sent = append(sent, id)
-			if i != n {
-				majoritySent = append(majoritySent, id)
-			}
+			g.Broadcast(p, at, fmt.Sprintf("m-%d-%d", i, s))
 		}
 	}
-	c.w.After(1, cutAt, func() { c.w.Partition(simnet.PartitionDrop, []stack.ProcessID{n}) })
-	c.w.After(1, healAt, func() { c.w.Heal() })
-	runChecked(t, c.w, c.engines, 40*time.Second)
-	return c, sent, majoritySent
+	g.w.After(1, cutAt, func() { g.w.Partition(simnet.PartitionDrop, []stack.ProcessID{n}) })
+	g.w.After(1, healAt, func() { g.w.Heal() })
+	g.Run(40 * time.Second)
+	return g
 }
 
 // TestDeepLagSnapshotCatchUp: with snapshots enabled, a minority cut off
@@ -123,21 +81,18 @@ func TestDeepLagSnapshotCatchUp(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		pipeline := seed%2 == 0
 		t.Run(fmt.Sprintf("seed=%d/pipeline=%v", seed, pipeline), func(t *testing.T) {
-			c, sent, _ := deepLagRun(t, seed, pipeline, deepLagCfg(true))
-			all := procs(1, 2, 3)
-			c.checkTotalOrder(t, all)
-			c.checkIntegrity(t, all)
+			g := deepLagRun(t, seed, pipeline, deepLagCfg(true))
 			// The headline: full delivery everywhere despite a lag deeper
 			// than any replay path can cover.
-			c.checkDelivers(t, all, sent)
+			g.complete(procs(1, 2, 3))
 
 			deep, served := 0, 0
 			for p := 1; p <= 2; p++ {
-				deep += c.engines[p].cons.DeepLagCount()
-				s, _ := c.engines[p].SnapshotStats()
+				deep += g.engines[p].cons.DeepLagCount()
+				s, _ := g.engines[p].SnapshotStats()
 				served += s
 			}
-			_, installed := c.engines[3].SnapshotStats()
+			_, installed := g.engines[3].SnapshotStats()
 			if deep == 0 {
 				t.Fatalf("no deep-lag detection at the majority; the scenario did not leave the relay's horizon")
 			}
@@ -157,21 +112,18 @@ func TestDeepLagRelayOnlyCannotCatchUp(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		pipeline := seed%2 == 0
 		t.Run(fmt.Sprintf("seed=%d/pipeline=%v", seed, pipeline), func(t *testing.T) {
-			c, sent, majoritySent := deepLagRun(t, seed, pipeline, deepLagCfg(false))
-			all := procs(1, 2, 3)
-			c.checkTotalOrder(t, all)
-			c.checkIntegrity(t, all)
+			g := deepLagRun(t, seed, pipeline, deepLagCfg(false))
 			// Majority-side liveness is untouched.
-			c.checkDelivers(t, procs(1, 2), majoritySent)
+			g.complete(procs(1, 2))
 			// The minority is structurally stuck: its next-expected instance
 			// sits below the floor of every decision log that could help.
-			floor := c.engines[1].cons.LogFloor()
-			if got := c.engines[3].kNext; got >= floor {
+			floor := g.engines[1].cons.LogFloor()
+			if got := g.engines[3].kNext; got >= floor {
 				t.Fatalf("minority kNext=%d not below relay floor %d; scenario not deep enough", got, floor)
 			}
-			if got := len(c.delivered[3]); got >= len(sent) {
+			if got, sent := len(g.delivered(3)), len(g.hist.Broadcast); got >= sent {
 				t.Fatalf("minority delivered %d/%d messages without snapshots; relay-only should not close a deep gap",
-					got, len(sent))
+					got, sent)
 			}
 		})
 	}
@@ -185,12 +137,9 @@ func TestDeepLagRelayOnlyCannotCatchUp(t *testing.T) {
 // have applied several rounds.
 func TestSnapshotMultiRoundChunkedTransfer(t *testing.T) {
 	bound := func(cfg *Config) { cfg.snapshotMax, cfg.snapshotChunk = 4, 2 }
-	c, sent, _ := deepLagRun(t, 2, true, deepLagCfg(true), bound)
-	all := procs(1, 2, 3)
-	c.checkTotalOrder(t, all)
-	c.checkIntegrity(t, all)
-	c.checkDelivers(t, all, sent)
-	_, installed := c.engines[3].SnapshotStats()
+	g := deepLagRun(t, 2, true, deepLagCfg(true), bound)
+	g.complete(procs(1, 2, 3))
+	_, installed := g.engines[3].SnapshotStats()
 	if installed < 2 {
 		t.Fatalf("installed %d snapshot rounds, want ≥ 2 (snapshotMax must force multi-round transfer)", installed)
 	}
@@ -200,14 +149,14 @@ func TestSnapshotMultiRoundChunkedTransfer(t *testing.T) {
 // offered boundary must ignore the offer outright — no accept, no transfer
 // state, no catch-up target.
 func TestSnapshotOfferIgnoredWhenCurrent(t *testing.T) {
-	c, sent, _ := deepLagRun(t, 1, false, deepLagCfg(true))
-	c.checkDelivers(t, procs(1, 2, 3), sent)
-	eng := c.engines[1]
+	g := deepLagRun(t, 1, false, deepLagCfg(true))
+	g.complete(procs(1, 2, 3))
+	eng := g.engines[1]
 	kNext := eng.kNext
-	c.w.After(1, time.Millisecond, func() {
+	g.w.After(1, time.Millisecond, func() {
 		eng.onSnapOffer(2, SnapOfferMsg{Boundary: kNext})
 	})
-	c.w.RunFor(time.Second)
+	g.Run(time.Second)
 	if eng.snapFrom != 0 || eng.kNext < eng.snapTarget {
 		t.Fatalf("stale offer accepted: snapFrom=%d target=%d kNext=%d", eng.snapFrom, eng.snapTarget, eng.kNext)
 	}

@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"abcast/internal/msg"
-	"abcast/internal/simnet"
 )
 
 // checkTable holds an engine's message table to its invariants. The table's
-// transitions are supposed to make these true by construction; the
-// randomized suites call this between simulation slices (runChecked) so that
-// crashes, partitions, snapshots, restarts and CorruptVolatile all get a
-// chance to break them.
+// transitions are supposed to make these true by construction; every group
+// run calls this between simulation slices (group.Run) so that crashes,
+// partitions, snapshots, restarts and CorruptVolatile all get a chance to
+// break them.
 func checkTable(t testing.TB, e *Engine) {
 	t.Helper()
 	tb := &e.msgs
@@ -122,19 +121,5 @@ func TestDrainedQueueKeepsItsArray(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("order and delivery on a drained queue allocate %v objects, want 0", got)
-	}
-}
-
-// runChecked is World.RunFor(d) cut into slices, with checkTable on every
-// engine in between. engines is read afresh each slice (index 0 unused), so a
-// harness that swaps in a restarted incarnation gets the new one checked.
-func runChecked(t testing.TB, w *simnet.World, engines []*Engine, d time.Duration) {
-	t.Helper()
-	const slices = 400
-	for i := 0; i < slices; i++ {
-		w.RunFor(d / slices)
-		for _, e := range engines[1:] {
-			checkTable(t, e)
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"abcast/internal/fd"
 	"abcast/internal/metrics"
 	"abcast/internal/msg"
-	"abcast/internal/rbcast"
 	"abcast/internal/simnet"
 	"abcast/internal/stack"
 
@@ -97,33 +96,14 @@ func TestConfigValidationCore(t *testing.T) {
 // TestMaxBatchOneInstancePerMessage pins the batching knob: with MaxBatch=1
 // each consensus instance orders exactly one message.
 func TestMaxBatchOneInstancePerMessage(t *testing.T) {
-	n := 3
-	w := simnet.NewWorld(n, netmodel.Setup1(), 5)
-	engines := make([]*Engine, n+1)
-	deliveredTotal := 0
-	for i := 1; i <= n; i++ {
-		node := w.Node(stack.ProcessID(i))
-		eng, err := New(node, Config{
-			Variant:  VariantIndirectCT,
-			RB:       rbcast.KindEager,
-			MaxBatch: 1,
-			Deliver: func(*msg.App) {
-				deliveredTotal++
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = eng
-	}
+	const n = 3
+	g := newGroup(t, n, VariantIndirectCT, netmodel.Setup1(), 5, freeRcv, func(cfg *Config) { cfg.MaxBatch = 1 })
 	const total = 12
 	for s := 0; s < total; s++ {
-		p := stack.ProcessID(s%n + 1)
-		at := time.Duration(s) * 300 * time.Microsecond
-		w.After(p, at, func() { engines[p].ABroadcast([]byte("x")) })
+		g.Broadcast(stack.ProcessID(s%n+1), time.Duration(s)*300*time.Microsecond, "x")
 	}
-	w.RunFor(30 * time.Second)
-	st := engines[1].Stats()
+	g.Run(30 * time.Second)
+	st := g.engines[1].Stats()
 	if st.Delivered != total {
 		t.Fatalf("delivered %d/%d", st.Delivered, total)
 	}

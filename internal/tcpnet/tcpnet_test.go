@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"abcast/internal/check"
 	"abcast/internal/consensus"
 	"abcast/internal/core"
 	"abcast/internal/fd"
@@ -121,13 +122,17 @@ func TestTCPTotalOrder(t *testing.T) {
 	g.waitDelivered(t, []int{1, 2, 3}, total, 30*time.Second)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for p := 2; p <= n; p++ {
-		for i := 0; i < total; i++ {
-			if g.order[1][i] != g.order[p][i] {
-				t.Fatalf("total order violated over TCP at %d: %v vs %v",
-					i, g.order[1][i], g.order[p][i])
-			}
+	h := check.History{Logs: make([][][]msg.ID, n+1)}
+	var all []stack.ProcessID
+	for p := 1; p <= n; p++ {
+		h.Logs[p] = [][]msg.ID{g.order[p]}
+		all = append(all, stack.ProcessID(p))
+		for seq := uint64(1); seq <= perProc; seq++ {
+			h.Broadcast = append(h.Broadcast, msg.ID{Sender: stack.ProcessID(p), Seq: seq})
 		}
+	}
+	if err := check.Complete(h, all); err != nil {
+		t.Fatalf("over TCP: %v", err)
 	}
 }
 

@@ -71,18 +71,7 @@ func TestClusterConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	cwg.Wait()
-	for p := 2; p <= n; p++ {
-		if len(orders[p]) != len(orders[1]) {
-			t.Fatalf("p%d delivered %d, p1 delivered %d", p, len(orders[p]), len(orders[1]))
-		}
-		for i := range orders[1] {
-			a, b := orders[1][i], orders[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("order diverges at %d: p1=%d:%d p%d=%d:%d",
-					i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-			}
-		}
-	}
+	checkHistory(t, orders, sentBy(1, perProc, 1, 2, 3))
 	// Close must unblock a waiting Next rather than leak it.
 	unblocked := make(chan struct{})
 	go func() {
@@ -178,17 +167,6 @@ func TestClusterAdaptiveActuatorRace(t *testing.T) {
 	}
 	wg.Wait()
 	cwg.Wait()
-	for p := 2; p <= n; p++ {
-		if len(orders[p]) != len(orders[1]) {
-			t.Fatalf("p%d delivered %d, p1 delivered %d", p, len(orders[p]), len(orders[1]))
-		}
-		for i := range orders[1] {
-			a, b := orders[1][i], orders[p][i]
-			if a.Sender != b.Sender || a.Seq != b.Seq {
-				t.Fatalf("order diverges at %d: p1=%d:%d p%d=%d:%d",
-					i, a.Sender, a.Seq, p, b.Sender, b.Seq)
-			}
-		}
-	}
+	checkHistory(t, orders, sentBy(1, perProc, 1, 2, 3))
 	c.Close()
 }
