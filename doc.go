@@ -285,6 +285,12 @@
 //	                         applied view, so pruning never outruns a
 //	                         member that could still need the state
 //
+// The failure model is a process crash, not a power loss: the operating
+// system outlives the process. persist.FileStore writes through the page
+// cache without fsync, so what it wrote survives the process but not the
+// host; a deployment that needs power-loss durability wraps it with an
+// fsyncing store behind the same interface.
+//
 // Delivery to the application is at-least-once across a restart — the
 // suffix above the last checkpoint is redelivered in unchanged order — so a
 // consumer keeps one high-water mark per sender and skips anything at or

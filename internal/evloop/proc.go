@@ -45,7 +45,13 @@ type event struct {
 	fn   func()
 	from stack.ProcessID
 	env  stack.Envelope
+	loan Loan // non-nil: env's payload is lent until its dispatch returns
 }
+
+// Loan is the buffer a transport lends with an envelope (DeliverLent). The
+// loop returns it once the envelope's dispatch has returned, or once a
+// crashed process has dropped the envelope.
+type Loan interface{ Return() }
 
 // New creates process id of an n-process group. remote carries an envelope
 // to another process; it is called on the loop, never for id itself and
@@ -79,8 +85,13 @@ func (p *Proc) Start() {
 				case p.crashed.Load() || p.closed.Load():
 				case ev.fn != nil:
 					ev.fn()
+				case ev.loan != nil:
+					p.node.Load().DispatchLent(ev.from, ev.env)
 				default:
 					p.node.Load().Dispatch(ev.from, ev.env)
+				}
+				if ev.loan != nil {
+					ev.loan.Return()
 				}
 			}
 		}
@@ -108,6 +119,15 @@ func (p *Proc) Do(fn func()) { p.inbox.Put(event{fn: fn}) }
 // the loop; transports call it from their own goroutines.
 func (p *Proc) Deliver(from stack.ProcessID, env stack.Envelope) {
 	p.inbox.Put(event{from: from, env: env})
+}
+
+// DeliverLent is Deliver for an envelope whose payload lies in a buffer the
+// transport lends: the loop dispatches it through stack.Node.DispatchLent
+// and then returns loan, so the buffer is reused once no layer can still be
+// reading it. An envelope queued when Close discards the backlog takes its
+// loan with it, to the garbage collector.
+func (p *Proc) DeliverLent(from stack.ProcessID, env stack.Envelope, loan Loan) {
+	p.inbox.Put(event{from: from, env: env, loan: loan})
 }
 
 // Crash stops the process: it handles no further events (its armed timers

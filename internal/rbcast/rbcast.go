@@ -22,6 +22,11 @@
 // suppression costs O(senders) however long the run; what a broadcast holds
 // beyond that — Lazy's unrelayed payloads, Uniform's undelivered records —
 // it drops at Release.
+//
+// A transport may lend a received payload for the length of its dispatch
+// (stack.Proto.Lent). Each broadcast then copies it once, at first receipt,
+// before it relays, echoes, holds or delivers it; a duplicate, most of what
+// O(n²) diffusion receives, is dropped uncopied.
 package rbcast
 
 import (
@@ -133,6 +138,19 @@ func (d *diffusion) Release(msg.ID) {}
 // Retained implements Broadcaster.
 func (d *diffusion) Retained() int { return d.seen.Entries() }
 
+// keep gives a first receipt's app a payload of its own before it is
+// relayed, echoed, held or delivered. Under a lent dispatch
+// (stack.Proto.Lent) the payload is a window on a transport buffer that is
+// reused once the dispatch returns, so it is copied into an allocation of
+// exactly its length; app itself was decoded for this dispatch alone and is
+// updated in place. Duplicates are dropped before this, uncopied.
+func (d *diffusion) keep(app *msg.App) *msg.App {
+	if d.proto.Lent() {
+		app.Payload = append(make([]byte, 0, len(app.Payload)), app.Payload...)
+	}
+	return app
+}
+
 // Eager is the O(n²) reliable broadcast.
 type Eager struct{ diffusion }
 
@@ -151,10 +169,11 @@ func (e *Eager) receive(_ stack.ProcessID, _ uint64, m stack.Message) {
 	if !ok || !e.seen.Add(d.App.ID) {
 		return
 	}
+	app := e.keep(d.App)
 	// Relay on first receipt: this is what makes the broadcast reliable
 	// (Agreement) despite sender crashes, at O(n²) message cost.
-	e.proto.BroadcastOthers(0, DataMsg{App: d.App})
-	e.deliver(d.App)
+	e.proto.BroadcastOthers(0, DataMsg{App: app})
+	e.deliver(app)
 }
 
 // Lazy is the O(n)-messages-in-good-runs reliable broadcast: a receiver
@@ -222,14 +241,15 @@ func (l *Lazy) receive(_ stack.ProcessID, _ uint64, m stack.Message) {
 	if !ok || !l.seen.Add(d.App.ID) {
 		return
 	}
-	origin := d.App.ID.Sender
+	app := l.keep(d.App)
+	origin := app.ID.Sender
 	if l.detector.Suspects(origin) {
 		// The sender is already suspected: relay immediately.
-		l.proto.BroadcastOthers(0, DataMsg{App: d.App})
+		l.proto.BroadcastOthers(0, DataMsg{App: app})
 	} else {
-		l.unrelayed[origin] = append(l.unrelayed[origin], d.App)
+		l.unrelayed[origin] = append(l.unrelayed[origin], app)
 	}
-	l.deliver(d.App)
+	l.deliver(app)
 }
 
 // relaySuspect relays every message whose origin q is now suspected.
@@ -302,6 +322,7 @@ func (u *Uniform) receive(from stack.ProcessID, _ uint64, m stack.Message) {
 		return // delivered or released: no echo for a straggling copy
 	}
 	if u.pending[app.ID] == nil {
+		app = u.keep(app) // hold keeps it as the pending record's payload
 		// Echo on first receipt so every process learns who holds m.
 		u.proto.BroadcastOthers(0, EchoMsg{App: app})
 	}

@@ -135,6 +135,7 @@ type Node struct {
 	handlers map[ProtoID]Handler
 	sender   Sender
 	group    []ProcessID // sorted broadcast member set; 1..N until SetGroup
+	lent     bool        // a DispatchLent is under way
 }
 
 // NewNode creates a node bound to the given runtime context, broadcasting
@@ -167,6 +168,15 @@ func (n *Node) Dispatch(from ProcessID, env Envelope) {
 	if h, ok := n.handlers[env.Proto]; ok {
 		h.Receive(from, env.Inst, env.Msg)
 	}
+}
+
+// DispatchLent is Dispatch for an envelope whose payload the transport
+// lends only until it returns (see Proto.Lent): the buffer under it is
+// recycled afterwards.
+func (n *Node) DispatchLent(from ProcessID, env Envelope) {
+	n.lent = true
+	n.Dispatch(from, env)
+	n.lent = false
 }
 
 // SetGroup restricts the node's broadcast fan-out to the given member set
@@ -218,6 +228,12 @@ type Proto struct {
 
 // Ctx returns the underlying runtime context.
 func (p Proto) Ctx() Context { return p.node.ctx }
+
+// Lent reports whether the envelope being dispatched came through
+// Node.DispatchLent: its payload is then valid only until the handler
+// returns, and a layer that keeps it, relays it or hands it on must copy it
+// first. It is false on every runtime but a transport that lends.
+func (p Proto) Lent() bool { return p.node.lent }
 
 // Send transmits m to process q under this protocol's id.
 func (p Proto) Send(q ProcessID, inst uint64, m Message) {

@@ -15,9 +15,11 @@ import (
 	"time"
 
 	"abcast/internal/consensus"
+	"abcast/internal/core"
 	"abcast/internal/fd"
 	"abcast/internal/msg"
 	"abcast/internal/rbcast"
+	"abcast/internal/relink"
 	"abcast/internal/stack"
 	"abcast/internal/wire"
 )
@@ -208,7 +210,7 @@ func TestFailedWriteResendsFromFrameBoundary(t *testing.T) {
 		for _, c := range conns {
 			r := bufio.NewReader(&c.buf)
 			for {
-				_, env, err := readFrame(r)
+				_, env, _, err := readFrame(r)
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					break // end of this connection, torn frame included
 				}
@@ -253,7 +255,7 @@ func TestBacklogIsSplitIntoRuns(t *testing.T) {
 	}
 	r := bufio.NewReader(&conn.buf)
 	for seq := 1; seq <= frames; seq++ {
-		if _, env, err := readFrame(r); err != nil || seqOf(t, env.Msg) != seq {
+		if _, env, _, err := readFrame(r); err != nil || seqOf(t, env.Msg) != seq {
 			t.Fatalf("frame %d: out of order or undecodable (%v)", seq, err)
 		}
 	}
@@ -477,18 +479,22 @@ func frame(t testing.TB, m stack.Message) []byte {
 }
 
 // TestReadFrameGrowsLargeBodies: a body above frameChunk arrives intact
-// through the chunked path, and a truncated one is an error.
+// through the chunked path, is not lent (its buffer is larger than the pool
+// keeps), and a truncated one is an error.
 func TestReadFrameGrowsLargeBodies(t *testing.T) {
 	app := &msg.App{ID: msg.ID{Sender: 1, Seq: 1}, Payload: make([]byte, 2*frameChunk+frameChunk/2+3)}
 	for i := range app.Payload {
 		app.Payload[i] = byte(i * 7)
 	}
 	stream := frame(t, rbcast.DataMsg{App: app})
-	_, env, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
+	_, env, lent, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
 	if err != nil || !bytes.Equal(env.Msg.(rbcast.DataMsg).App.Payload, app.Payload) {
 		t.Fatalf("large frame mangled (err %v)", err)
 	}
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(stream[:len(stream)-1]))); err == nil {
+	if lent != nil {
+		t.Fatalf("a %d-byte buffer was lent, to be pooled", cap(lent.data))
+	}
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(stream[:len(stream)-1]))); err == nil {
 		t.Fatal("truncated large frame accepted")
 	}
 }
@@ -508,34 +514,49 @@ func sizedFrame(t *testing.T, seq, size int) []byte {
 }
 
 // TestReadFrameInPlace passes one stream through readFrame: frames that fit
-// the reader's buffer are decoded where they lie, and each must still be
-// intact once the reader has moved past it and reused the buffer.
+// the reader's buffer are decoded where they lie, a longer frame that is
+// not a diffusion frame keeps a buffer of its own, and each must still be
+// intact once the reader has moved past it, reused its buffer and recycled
+// the lent frames that came after.
 func TestReadFrameInPlace(t *testing.T) {
 	const size = wire.AliasMin // the reader's buffer
+	supply := core.SupplyMsg{Apps: []*msg.App{numbered(4, 16<<10).(rbcast.DataMsg).App}}
 	frames := [][]byte{
 		frame(t, consensus.CTAckMsg{R: 2}),
 		frame(t, numbered(1, 64)),
-		sizedFrame(t, 2, size),   // the largest frame read in place
-		sizedFrame(t, 3, size+1), // the smallest read into its own buffer
-		frame(t, numbered(4, 16<<10)),
-		frame(t, numbered(5, 64)),
+		sizedFrame(t, 2, size), // the largest frame read in place
+		frame(t, supply),       // a long frame that is not lent
+		sizedFrame(t, 3, size+1),
+		frame(t, numbered(5, 16<<10)),
+		frame(t, numbered(6, 64)),
 	}
 	r := bufio.NewReaderSize(bytes.NewReader(bytes.Join(frames, nil)), size)
 	if r.Size() != size {
 		t.Fatalf("reader buffer of %d bytes, want %d", r.Size(), size)
 	}
-	var got []stack.Envelope
-	for range frames {
-		_, env, err := readFrame(r)
+	kept := map[int]stack.Envelope{}
+	for i := range frames {
+		_, env, lent, err := readFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, env)
+		if long := len(frames[i]) > size; long != (lent != nil || i == 3) {
+			t.Fatalf("frame %d (%d bytes): lent %v", i, len(frames[i]), lent != nil)
+		}
+		if lent != nil {
+			if again := frame(t, env.Msg); !bytes.Equal(again, frames[i]) {
+				t.Errorf("lent frame %d (%d bytes) changed before its return", i, len(frames[i]))
+			}
+			lent.scrub = func(b []byte) { clear(b) }
+			lent.Return()
+			continue
+		}
+		kept[i] = env
 	}
-	if _, _, err := readFrame(r); err != io.EOF {
+	if _, _, _, err := readFrame(r); err != io.EOF {
 		t.Fatalf("after the stream: %v, want EOF", err)
 	}
-	for i, env := range got {
+	for i, env := range kept {
 		if again := frame(t, env.Msg); !bytes.Equal(again, frames[i]) {
 			t.Errorf("frame %d (%d bytes) changed after the reader moved on", i, len(frames[i]))
 		}
@@ -551,7 +572,7 @@ func TestInPlaceReadAllocatesNothing(t *testing.T) {
 		const runs = 100
 		r := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(f, runs+1)), wire.AliasMin)
 		read := testing.AllocsPerRun(runs, func() {
-			if _, _, err := readFrame(r); err != nil {
+			if _, _, _, err := readFrame(r); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -565,6 +586,37 @@ func TestInPlaceReadAllocatesNothing(t *testing.T) {
 		}
 		if _, ok := m.(fd.HeartbeatMsg); ok && read != 0 {
 			t.Errorf("a heartbeat frame read allocates %v", read)
+		}
+	}
+}
+
+// TestLentFrameAllocatesNothing: in steady state a 16 KiB diffusion frame,
+// bare or sequenced by relink, is read into a recycled buffer and returned
+// after dispatch, so reading it allocates nothing beyond its decode (the
+// App record): not the 16 KiB frame.
+func TestLentFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of the buffers put back, so some reads allocate")
+	}
+	data := numbered(1, 16<<10)
+	for _, m := range []stack.Message{data, &relink.SeqMsg{Seq: 1, Env: stack.Envelope{Proto: stack.ProtoRB, Msg: data}}} {
+		f := frame(t, m)
+		const runs = 100
+		r := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(f, runs+1)), wire.AliasMin)
+		read := testing.AllocsPerRun(runs, func() {
+			_, _, lent, err := readFrame(r)
+			if err != nil || lent == nil {
+				t.Fatalf("lent %v, err %v", lent != nil, err)
+			}
+			lent.Return()
+		})
+		decode := testing.AllocsPerRun(runs, func() {
+			if _, _, err := wire.DecodeEnvelope(f[4:]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if read != decode {
+			t.Errorf("%T: a lent frame read allocates %v, its decode %v", m, read, decode)
 		}
 	}
 }

@@ -35,9 +35,14 @@
 // blocking read. The reader's buffer is wire.AliasMin bytes, so a frame
 // that fits it carries no payload a decoded value could alias: it is
 // decoded in the buffer and costs no allocation beyond what the protocol
-// layers keep. Only a longer frame is copied into an allocation of its own
-// size, which its payloads of wire.AliasMin bytes or more alias for as long
-// as the layers keep them.
+// layers keep. A longer frame is read into a recycled buffer. When
+// wire.Lendable says its envelope is a diffusion frame, the buffer is lent:
+// the event loop dispatches the envelope through stack.Node.DispatchLent
+// and hands the buffer back to the pool once the dispatch returns, so a
+// duplicate relay, most of the O(n²) diffusion traffic, costs no frame
+// allocation at all (rbcast copies a payload it keeps, at first receipt).
+// Any other long frame keeps its buffer, which its payloads of
+// wire.AliasMin bytes or more alias for as long as the layers keep them.
 package tcpnet
 
 import (
@@ -79,6 +84,7 @@ type config struct {
 	seed        int64
 	dialBackoff time.Duration                                                       // the dialBackoff constant; only tests shorten it
 	dial        func(network, addr string, timeout time.Duration) (net.Conn, error) // only tests replace it
+	scrub       func([]byte)                                                        // overwrites a lent frame buffer as it is returned; only tests set it
 	metricsAddr string
 	metrics     *metrics.Registry
 }
@@ -240,11 +246,16 @@ func (p *Peer) readLoop(conn net.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, wire.AliasMin)
 	for {
-		from, env, err := readFrame(r)
-		if err != nil {
+		from, env, lent, err := readFrame(r)
+		switch {
+		case err != nil:
 			return // closed, or a corrupted stream: drop the connection
+		case lent != nil:
+			lent.scrub = p.cfg.scrub
+			p.proc.DeliverLent(from, env, lent)
+		default:
+			p.proc.Deliver(from, env)
 		}
-		p.proc.Deliver(from, env)
 	}
 }
 
@@ -393,35 +404,71 @@ func wholeFrames(batch []byte, n int) int {
 	return end
 }
 
+// framePool recycles the buffers of lent frames (frameBuf), none of more
+// than runBytes.
+var framePool sync.Pool
+
+// frameBuf is the buffer of a frame longer than the reader's, lent with the
+// envelope decoded from it (evloop.Loan).
+type frameBuf struct {
+	data  []byte
+	scrub func([]byte) // config.scrub of the reading peer
+}
+
+// Return implements evloop.Loan: the buffer goes back to the pool.
+func (b *frameBuf) Return() {
+	if b.scrub != nil {
+		b.scrub(b.data)
+		b.scrub = nil
+	}
+	framePool.Put(b)
+}
+
 // readFrame reads and decodes one length-prefixed frame. A frame that fits
-// r's buffer is decoded where it lies (see the package doc); a longer one is
-// read into a buffer of its own, which its decoded payloads may alias.
-func readFrame(r *bufio.Reader) (stack.ProcessID, stack.Envelope, error) {
+// r's buffer is decoded where it lies (see the package doc). A longer one is
+// read into a buffer from framePool, returned third when the envelope may
+// be dispatched on loan (wire.Lendable), to be returned to the pool once its
+// dispatch returns; otherwise the third result is nil and the envelope keeps
+// the buffer.
+func readFrame(r *bufio.Reader) (stack.ProcessID, stack.Envelope, *frameBuf, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
-		return 0, stack.Envelope{}, err
+		return 0, stack.Envelope{}, nil, err
 	}
 	size := int(binary.BigEndian.Uint32(hdr))
 	if size > maxFrameBytes {
-		return 0, stack.Envelope{}, errors.New("tcpnet: oversized frame")
+		return 0, stack.Envelope{}, nil, errors.New("tcpnet: oversized frame")
 	}
 	if 4+size <= r.Size() {
 		frame, err := r.Peek(4 + size)
 		if err != nil {
-			return 0, stack.Envelope{}, err
+			return 0, stack.Envelope{}, nil, err
 		}
 		from, env, err := wire.DecodeEnvelope(frame[4:])
 		_, _ = r.Discard(4 + size) // cannot fail: Peek just buffered the frame
-		return from, env, err
+		return from, env, nil, err
 	}
 	_, _ = r.Discard(4) // cannot fail: Peek just buffered the four bytes
-	var data []byte
+	b, _ := framePool.Get().(*frameBuf)
+	if b == nil {
+		b = new(frameBuf)
+	}
+	data := b.data[:0]
 	for len(data) < size { // memory is committed a chunk ahead of the bytes at most
 		n := min(size-len(data), frameChunk)
-		data = append(data, make([]byte, n)...)
+		if len(data)+n <= cap(data) {
+			data = data[:len(data)+n] // recycled memory: ReadFull overwrites it
+		} else {
+			data = append(data, make([]byte, n)...)
+		}
 		if _, err := io.ReadFull(r, data[len(data)-n:]); err != nil {
-			return 0, stack.Envelope{}, err
+			return 0, stack.Envelope{}, nil, err
 		}
 	}
-	return wire.DecodeEnvelope(data)
+	from, env, err := wire.DecodeEnvelope(data)
+	if err != nil || !wire.Lendable(env) || cap(data) > runBytes {
+		return from, env, nil, err // the envelope keeps data
+	}
+	b.data = data
+	return from, env, b, nil
 }

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"abcast/internal/core"
 	"abcast/internal/fd"
 	"abcast/internal/msg"
+	"abcast/internal/persist"
 	"abcast/internal/rbcast"
 	"abcast/internal/stack"
 	"abcast/internal/wire"
@@ -29,7 +32,10 @@ type tcpGroup struct {
 	order   [][]msg.ID
 }
 
-func newTCPGroup(t *testing.T, n int, variant core.Variant) *tcpGroup {
+// newTCPGroup starts the group; tune, if not nil, adjusts each peer and its
+// engine configuration (eager diffusion, no recovery) before the engine is
+// built.
+func newTCPGroup(t *testing.T, n int, variant core.Variant, tune func(*Peer, *core.Config)) *tcpGroup {
 	t.Helper()
 	g := &tcpGroup{
 		peers:   make([]*Peer, n+1),
@@ -52,8 +58,7 @@ func newTCPGroup(t *testing.T, n int, variant core.Variant) *tcpGroup {
 	})
 	for i := 1; i <= n; i++ {
 		i := i
-		node := g.peers[i].Node()
-		eng, err := core.New(node, core.Config{
+		cfg := core.Config{
 			Variant: variant,
 			RB:      rbcast.KindEager,
 			Deliver: func(app *msg.App) {
@@ -61,7 +66,11 @@ func newTCPGroup(t *testing.T, n int, variant core.Variant) *tcpGroup {
 				g.order[i] = append(g.order[i], app.ID)
 				g.mu.Unlock()
 			},
-		})
+		}
+		if tune != nil {
+			tune(g.peers[i], &cfg)
+		}
+		eng, err := core.New(g.peers[i].Node(), cfg)
 		if err != nil {
 			t.Fatalf("core.New p%d: %v", i, err)
 		}
@@ -110,35 +119,87 @@ func (g *tcpGroup) waitDelivered(t *testing.T, procs []int, want int, timeout ti
 	t.Fatal("timed out waiting for deliveries over TCP")
 }
 
-func TestTCPTotalOrder(t *testing.T) {
-	const n, perProc = 3, 4
-	g := newTCPGroup(t, n, core.VariantIndirectCT)
-	for p := 1; p <= n; p++ {
-		for i := 0; i < perProc; i++ {
-			g.broadcast(p, fmt.Sprintf("m%d-%d", p, i))
-		}
-	}
-	total := n * perProc
-	g.waitDelivered(t, []int{1, 2, 3}, total, 30*time.Second)
+// complete checks the group's deliveries with check.Complete, every
+// process having broadcast perProc messages, all of them correct.
+func (g *tcpGroup) complete(perProc int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	n := len(g.peers) - 1
 	h := check.History{Logs: make([][][]msg.ID, n+1)}
 	var all []stack.ProcessID
 	for p := 1; p <= n; p++ {
 		h.Logs[p] = [][]msg.ID{g.order[p]}
 		all = append(all, stack.ProcessID(p))
-		for seq := uint64(1); seq <= perProc; seq++ {
+		for seq := uint64(1); seq <= uint64(perProc); seq++ {
 			h.Broadcast = append(h.Broadcast, msg.ID{Sender: stack.ProcessID(p), Seq: seq})
 		}
 	}
-	if err := check.Complete(h, all); err != nil {
+	return check.Complete(h, all)
+}
+
+func TestTCPTotalOrder(t *testing.T) {
+	const n, perProc = 3, 4
+	g := newTCPGroup(t, n, core.VariantIndirectCT, nil)
+	for p := 1; p <= n; p++ {
+		for i := 0; i < perProc; i++ {
+			g.broadcast(p, fmt.Sprintf("m%d-%d", p, i))
+		}
+	}
+	g.waitDelivered(t, []int{1, 2, 3}, n*perProc, 30*time.Second)
+	if err := g.complete(perProc); err != nil {
 		t.Fatalf("over TCP: %v", err)
+	}
+}
+
+// TestNoLentByteOutlivesItsDispatch: every lent frame buffer is scrubbed as
+// it is returned, so a diffusion payload kept without the first-receipt
+// copy would read back scrubbed, or as a later frame, when it is delivered.
+// Over relink with persistence, for each broadcast kind, every delivered
+// 16 KiB payload must be the one broadcast, byte for byte.
+func TestNoLentByteOutlivesItsDispatch(t *testing.T) {
+	const n, perProc = 3, 16
+	payload := func(id msg.ID) []byte {
+		b := make([]byte, 16<<10)
+		for i := range b {
+			b[i] = byte(int(id.Sender)*131 + int(id.Seq)*17 + i)
+		}
+		return b
+	}
+	for _, kind := range []rbcast.Kind{rbcast.KindEager, rbcast.KindLazy, rbcast.KindUniform} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var corrupt atomic.Int64
+			g := newTCPGroup(t, n, core.VariantIndirectCT, func(p *Peer, cfg *core.Config) {
+				p.cfg.scrub = func(b []byte) { clear(b) }
+				cfg.RB = kind
+				cfg.Persist = &core.PersistConfig{Store: persist.NewMemStore()}
+				deliver := cfg.Deliver
+				cfg.Deliver = func(app *msg.App) {
+					if !bytes.Equal(app.Payload, payload(app.ID)) {
+						corrupt.Add(1)
+					}
+					deliver(app)
+				}
+			})
+			for p := 1; p <= n; p++ {
+				for seq := 1; seq <= perProc; seq++ {
+					b := payload(msg.ID{Sender: stack.ProcessID(p), Seq: uint64(seq)})
+					g.peers[p].Do(func() { g.engines[p].ABroadcast(b) })
+				}
+			}
+			g.waitDelivered(t, []int{1, 2, 3}, n*perProc, 60*time.Second)
+			if c := corrupt.Load(); c > 0 {
+				t.Fatalf("%d of %d deliveries read another payload than was broadcast", c, n*n*perProc)
+			}
+			if err := g.complete(perProc); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 func TestTCPCrashTolerance(t *testing.T) {
 	const n = 3
-	g := newTCPGroup(t, n, core.VariantIndirectCT)
+	g := newTCPGroup(t, n, core.VariantIndirectCT, nil)
 	g.broadcast(1, "before")
 	g.waitDelivered(t, []int{1, 2, 3}, 1, 20*time.Second)
 	// Hard-crash p2 (stops processing and sending).
@@ -151,7 +212,7 @@ func TestTCPConsensusOnMessages(t *testing.T) {
 	// Exercises wire round-tripping of MsgSetValue (payload-carrying
 	// consensus values).
 	const n = 3
-	g := newTCPGroup(t, n, core.VariantConsensusMsgs)
+	g := newTCPGroup(t, n, core.VariantConsensusMsgs, nil)
 	g.broadcast(2, "payload-over-tcp")
 	g.waitDelivered(t, []int{1, 2, 3}, 1, 20*time.Second)
 }

@@ -5,6 +5,8 @@ package wire
 // either fail with an error or decode to a value that re-encodes and
 // re-decodes to itself — never a panic, and never an output larger than
 // the input (the no-amplification guard that backs the allocation caps).
+// A frame Lendable accepts must also survive its input being overwritten
+// once its diffusion payload has been copied, as rbcast copies it.
 //
 // Seed corpora live under testdata/fuzz/<Target>/ in the standard go-fuzz
 // corpus format; CI runs each target for a short -fuzztime as a smoke.
@@ -15,6 +17,10 @@ import (
 	"reflect"
 	"testing"
 
+	"abcast/internal/core"
+	"abcast/internal/msg"
+	"abcast/internal/rbcast"
+	"abcast/internal/relink"
 	"abcast/internal/stack"
 )
 
@@ -30,6 +36,20 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version + 1, 0, 0, 0})
+	// Payloads long enough to alias the input: two lendable frames and one
+	// that keeps its buffer.
+	big := &msg.App{ID: msg.ID{Sender: 2, Seq: 7}, Payload: bytes.Repeat([]byte{0x5a}, AliasMin+1)}
+	for _, env := range []stack.Envelope{
+		{Proto: stack.ProtoRB, Msg: rbcast.DataMsg{App: big}},
+		{Proto: stack.ProtoLink, Msg: &relink.SeqMsg{Seq: 4, Low: 1, Env: stack.Envelope{Proto: stack.ProtoURB, Msg: rbcast.EchoMsg{App: big}}}},
+		{Proto: stack.ProtoSync, Msg: core.SupplyMsg{Apps: []*msg.App{big}}},
+	} {
+		data, err := EncodeEnvelope(3, env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, env, err := DecodeEnvelope(data)
 		if err != nil {
@@ -51,6 +71,30 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if from2 != from || !reflect.DeepEqual(env2, env) {
 			t.Fatalf("round-trip not stable:\n first:  %#v\n second: %#v", env, env2)
+		}
+		if !Lendable(env) {
+			return
+		}
+		buf := bytes.Clone(data)
+		_, lent, _ := DecodeEnvelope(buf)
+		inner := lent.Msg
+		if m, ok := inner.(*relink.SeqMsg); ok {
+			inner = m.Env.Msg
+		}
+		var app *msg.App
+		switch m := inner.(type) {
+		case rbcast.DataMsg:
+			app = m.App
+		case rbcast.EchoMsg:
+			app = m.App
+		}
+		if app == nil {
+			t.Fatalf("Lendable accepts a %T frame", lent.Msg)
+		}
+		app.Payload = bytes.Clone(app.Payload)
+		scribble(buf)
+		if again, err := EncodeEnvelope(from, lent); err != nil || !bytes.Equal(again, reenc) {
+			t.Fatalf("a lendable frame still reads its input once its payload is copied (err %v)", err)
 		}
 	})
 }

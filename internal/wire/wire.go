@@ -23,12 +23,16 @@
 // payload of AliasMin bytes or more, which it keeps as a window on the
 // input; every shorter payload is copied. So a frame shorter than AliasMin
 // can be decoded in a buffer that is reused right after, and a 64 B payload
-// never pins the megabyte SupplyMsg it arrived in.
+// never pins the megabyte SupplyMsg it arrived in. A longer frame's buffer
+// can be reused after dispatch too when Lendable says so: its one window is
+// a diffusion payload, which the layer keeping it copies.
 package wire
 
 import (
 	"fmt"
 
+	"abcast/internal/rbcast"
+	"abcast/internal/relink"
 	"abcast/internal/stack"
 	bin "abcast/internal/wire/binary"
 )
@@ -62,6 +66,23 @@ func AppendEnvelope(dst []byte, from stack.ProcessID, env stack.Envelope) ([]byt
 // AliasMin is the shortest payload a decoded message keeps as a window on
 // its input rather than a copy; a transport sizes its read buffer from it.
 const AliasMin = bin.AliasMin
+
+// Lendable reports whether the buffer env was decoded from may be reused
+// once env has been dispatched: env is an rbcast.DataMsg or rbcast.EchoMsg,
+// bare or inside a relink.SeqMsg, so its one window on the buffer is the
+// App's payload, which rbcast copies on first receipt (stack.Proto.Lent) and
+// nothing else keeps. Any other envelope, a SupplyMsg, a SnapChunkMsg or a
+// consensus MsgSetValue among them, is handed its buffer for good.
+func Lendable(env stack.Envelope) bool {
+	if m, ok := env.Msg.(*relink.SeqMsg); ok {
+		env = m.Env
+	}
+	switch env.Msg.(type) {
+	case rbcast.DataMsg, rbcast.EchoMsg:
+		return true
+	}
+	return false
+}
 
 // DecodeEnvelope is the inverse of EncodeEnvelope. A payload shorter than
 // AliasMin is copied; a longer one aliases data, whose ownership the caller
